@@ -14,7 +14,7 @@
 
 module B = Sbt_workloads.Benchmarks
 module Runner = Sbt_core.Runner
-module Control = Sbt_core.Control
+module Runtime = Sbt_core.Runtime
 module D = Sbt_core.Dataplane
 module Pipeline = Sbt_core.Pipeline
 module P = Sbt_prim.Primitive
@@ -23,6 +23,13 @@ module Frame = Sbt_net.Frame
 module Clock = Sbt_sim.Clock
 module J = Sbt_obs.Json
 module Bench_json = Sbt_obs.Bench_json
+module Session = Sbt_core.Session
+
+(* The Runner report over a one-tenant session of [cfg]. *)
+let report ?cores_list ?target_delay_ms ?repeats cfg (pipeline : Pipeline.t) frames =
+  Session.create cfg
+  |> Session.add_tenant ~pipeline ~source:frames
+  |> Runner.run ?cores_list ?target_delay_ms ?repeats
 
 let scale = try Sys.getenv "SBT_BENCH_SCALE" with Not_found -> "quick"
 let quick = scale <> "full"
@@ -85,8 +92,8 @@ let run_version (mk : ?windows:int -> ?events_per_window:int -> ?batch_events:in
   let encrypted = match version with D.Full | D.Io_via_os -> true | D.Clear_ingress | D.Insecure -> false in
   let bench = mk ~windows ~events_per_window:epw ~batch_events:batch ~encrypted () in
   let o =
-    Runner.run ~cores_list:[ 2; 4; 8 ] ~target_delay_ms:bench.B.target_delay_ms ~version
-      ~repeats:2 bench.B.pipeline (B.frames bench)
+    report ~cores_list:[ 2; 4; 8 ] ~target_delay_ms:bench.B.target_delay_ms ~repeats:2
+      (Runtime.Config.make ~version ()) bench.B.pipeline (B.frames bench)
   in
   if not o.Runner.verified then
     Printf.printf "  !! %s/%s failed verification\n" bench.B.name (D.version_name version);
@@ -357,7 +364,7 @@ let fig8 () =
   let frames = B.frames bench in
   let bytes_per_event = 12.0 in
   let sbt =
-    Runner.run ~cores_list:[ 8 ] ~target_delay_ms:50.0 ~version:D.Full bench.B.pipeline
+    report ~cores_list:[ 8 ] ~target_delay_ms:50.0 (Runtime.Config.make ()) bench.B.pipeline
       (B.frames (B.win_sum ~windows ~events_per_window:epw ~batch_events:batch ~encrypted:true ()))
   in
   let sbt_rate = (List.hd sbt.Runner.points).Runner.events_per_sec in
@@ -540,17 +547,17 @@ let fig10_one (mk : ?windows:int -> ?events_per_window:int -> ?batch_events:int 
   let alloc_mode =
     if hints then Sbt_umem.Allocator.Hint_guided else Sbt_umem.Allocator.Producer_grouping
   in
-  let cfg = Control.Config.make ~cores:8 ~alloc_mode ~hints_enabled:hints () in
+  let cfg = Runtime.Config.make ~cores:8 ~alloc_mode ~hints_enabled:hints () in
   let r =
     Sbt_core.Session.create ~verify:false cfg
     |> Sbt_core.Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
     |> Sbt_core.Session.run_single
   in
-  let samples = List.map float_of_int r.Control.mem_samples_bytes in
+  let samples = List.map float_of_int r.Runtime.mem_samples_bytes in
   let n = float_of_int (max 1 (List.length samples)) in
   let mean = List.fold_left ( +. ) 0.0 samples /. n in
   let var = List.fold_left (fun a s -> a +. ((s -. mean) ** 2.0)) 0.0 samples /. n in
-  (mean /. 1e6, 2.0 *. sqrt var /. 1e6, float_of_int r.Control.pool_high_water_bytes /. 1e6)
+  (mean /. 1e6, 2.0 *. sqrt var /. 1e6, float_of_int r.Runtime.pool_high_water_bytes /. 1e6)
 
 let fig10 () =
   section "[fig10] TEE memory with vs without consumption hints (paper Fig 10)";
@@ -685,14 +692,14 @@ let fig11 () =
 
 let fig12_one (mk : ?windows:int -> ?events_per_window:int -> ?batch_events:int -> ?encrypted:bool -> unit -> B.t) batch_events =
   let bench = mk ~windows ~events_per_window:epw ~batch_events () in
-  let cfg = Control.default_config () in
+  let cfg = Runtime.Config.make () in
   let r =
     Sbt_core.Session.create ~verify:false cfg
     |> Sbt_core.Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
     |> Sbt_core.Session.run_single
   in
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
   let raw = Sbt_attest.Columnar.raw_size records in
   let compressed = Bytes.length (Sbt_attest.Columnar.compress records) in
@@ -766,8 +773,8 @@ let batch_sweep () =
     (fun be ->
       let bench = B.topk ~windows ~events_per_window:epw ~batch_events:be () in
       let o =
-        Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms
-          ~version:D.Clear_ingress ~repeats:2 bench.B.pipeline (B.frames bench)
+        report ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms ~repeats:2
+          (Runtime.Config.make ~version:D.Clear_ingress ()) bench.B.pipeline (B.frames bench)
       in
       let p = List.hd o.Runner.points in
       Printf.printf "  %10d %12.2f %12.1f %14d\n" be
@@ -791,10 +798,10 @@ let switch_sweep () =
         Sbt_tz.Cost_model.with_switch_ns (switch_us *. 1e3) Sbt_tz.Cost_model.default
       in
       let platform = Sbt_tz.Platform.create ~cores:8 ~cost () in
-      let cfg = Control.Config.make ~version:D.Clear_ingress ~cores:8 ~platform () in
-      let r = Control.run cfg bench.B.pipeline (B.frames bench) in
+      let cfg = Runtime.Config.make ~version:D.Clear_ingress ~cores:8 ~platform () in
+      let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
       let res =
-        Sbt_sim.Rate_search.max_rate ~trace:r.Control.trace ~cores:8
+        Sbt_sim.Rate_search.max_rate ~trace:r.Runtime.trace ~cores:8
           ~target_delay_ns:(bench.B.target_delay_ms *. 1e6)
           ()
       in
@@ -807,12 +814,12 @@ let switch_sweep () =
 let attest_overhead () =
   section "[attest-overhead] audit generation and verifier replay (paper 9.2)";
   let bench = B.win_sum ~windows ~events_per_window:epw ~batch_events:batch () in
-  let cfg = Control.default_config () in
+  let cfg = Runtime.Config.make () in
   let t0 = Clock.now_ns () in
-  let r = Control.run cfg bench.B.pipeline (B.frames bench) in
+  let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
   let run_ns = Clock.elapsed_ns ~since:t0 in
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
   let n = List.length records in
   let event_seconds = float_of_int windows in
@@ -827,7 +834,7 @@ let attest_overhead () =
   Printf.printf "  compression: %.2f ms per log (%.2f%% of the run's CPU)\n" (comp_ns /. 1e6)
     (100.0 *. comp_ns /. run_ns);
   (* Verifier replay rate. *)
-  let spec = r.Control.verifier_spec in
+  let spec = r.Runtime.verifier_spec in
   let t2 = Clock.now_ns () in
   let reps = 20 in
   for _ = 1 to reps do
@@ -889,11 +896,15 @@ let resilience () =
     (fun rate ->
       let plan = Fault.uniform ~seed:7L ~rate () in
       let frames, _ = Sbt_net.Lossy.apply plan clean_frames in
-      let o = Runner.run ~cores_list:[ 4 ] ~version:D.Full ~fault_plan:plan bench.B.pipeline frames in
+      let o =
+        report ~cores_list:[ 4 ] (Runtime.Config.make ~cores:4 ~fault_plan:plan ())
+          bench.B.pipeline frames
+      in
       let rep = o.Runner.verifier_report in
-      let loss = o.Runner.loss in
+      let r = o.Runner.run in
+      let loss = r.Runtime.loss in
       let goodput =
-        float_of_int (o.Runner.total_events - Control.Loss.events_dropped loss)
+        float_of_int (r.Runtime.total_events - Runtime.Loss.events_dropped loss)
         /. float_of_int (max 1 generated)
       in
       ignore
@@ -901,16 +912,16 @@ let resilience () =
            [
              ("fault_rate", J.Num rate);
              ("goodput", J.Num goodput);
-             ("gaps_declared", J.num_of_int (Control.Loss.gaps_declared loss));
-             ("sheds", J.num_of_int o.Runner.dp_stats.D.sheds);
-             ("smc_busy", J.num_of_int o.Runner.dp_stats.D.smc_busy_rejections);
+             ("gaps_declared", J.num_of_int (Runtime.Loss.gaps_declared loss));
+             ("sheds", J.num_of_int r.Runtime.dp_stats.D.sheds);
+             ("smc_busy", J.num_of_int r.Runtime.dp_stats.D.smc_busy_rejections);
              ("loss_fraction", J.Num rep.Sbt_attest.Verifier.loss_fraction);
              ("violations", J.num_of_int (List.length rep.Sbt_attest.Verifier.violations));
-             ("control_metrics", Sbt_obs.Metrics.to_json o.Runner.registry);
+             ("control_metrics", Sbt_obs.Metrics.to_json r.Runtime.registry);
            ]);
       Printf.printf "  %-6.2f %-9.3f %-6d %-6d %-6d %-10.3f %d\n" rate goodput
-        (Control.Loss.gaps_declared loss)
-        o.Runner.dp_stats.D.sheds o.Runner.dp_stats.D.smc_busy_rejections
+        (Runtime.Loss.gaps_declared loss)
+        r.Runtime.dp_stats.D.sheds r.Runtime.dp_stats.D.smc_busy_rejections
         rep.Sbt_attest.Verifier.loss_fraction
         (List.length rep.Sbt_attest.Verifier.violations))
     [ 0.0; 0.02; 0.05; 0.1; 0.2 ];
@@ -927,7 +938,7 @@ let recovery_bench () =
   let module Fault = Sbt_fault.Fault in
   let bench = B.win_sum ~windows ~events_per_window:(epw / 4) ~batch_events:(batch / 4) () in
   let frames = B.frames bench in
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
+  let cost = Runtime.deterministic_cost D.Full in
   let observables (s : Runtime.supervised) =
     ( s.Runtime.sv_results,
       List.map
@@ -999,10 +1010,11 @@ let fleet_bench () =
   let module V = Sbt_attest.Verifier in
   let epw_f = max 400 (epw / 8) in
   let batch_f = max 100 (batch / 8) in
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  let cfg = Sbt_core.Runtime.Config.make ~cores:4 ~cost () in
+  let cfg = Runtime.Config.make ~cores:4 ~cost:(Runtime.deterministic_cost D.Full) () in
   let bench = B.win_sum ~windows ~events_per_window:epw_f ~batch_events:batch_f () in
-  let frames = B.frames bench in
+  let session =
+    Session.create cfg |> Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
+  in
   let p99_freshness (r : V.fleet_report) =
     let delays =
       List.concat_map
@@ -1024,7 +1036,7 @@ let fleet_bench () =
       else Fault.fleet_none ~suspect_after:2
     in
     let t0 = Unix.gettimeofday () in
-    let s = Fleet.run ~scenario ~nodes:m ~batch_events:batch_f cfg bench.B.pipeline frames in
+    let s = Fleet.run_session ~scenario ~nodes:m ~batch_events:batch_f session in
     let wall = Unix.gettimeofday () -. t0 in
     (s, wall)
   in
@@ -1086,19 +1098,21 @@ let fusion () =
   let run_one ~batch_events ~fuse =
     let bench = B.fps ~windows ~events_per_window:epw_f ~batch_events () in
     let o =
-      Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms
-        ~version:D.Clear_ingress ~deterministic:true ~fuse bench.B.pipeline
-        (B.frames bench)
+      report ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms
+        (Runtime.Config.make ~version:D.Clear_ingress
+           ~cost:(Runtime.deterministic_cost D.Clear_ingress) ~fuse ())
+        bench.B.pipeline (B.frames bench)
     in
-    let switches = Sbt_obs.Metrics.find_counter o.Runner.registry "smc.switches" in
-    let audit_bytes = Sbt_obs.Metrics.find_counter o.Runner.registry "audit.bytes" in
+    let registry = o.Runner.run.Runtime.registry in
+    let switches = Sbt_obs.Metrics.find_counter registry "smc.switches" in
+    let audit_bytes = Sbt_obs.Metrics.find_counter registry "audit.bytes" in
     (o, switches, audit_bytes)
   in
   List.iter
     (fun batch_events ->
       let off, off_sw, off_ab = run_one ~batch_events ~fuse:false in
       let on, on_sw, on_ab = run_one ~batch_events ~fuse:true in
-      let identical = off.Runner.results = on.Runner.results in
+      let identical = off.Runner.run.Runtime.results = on.Runner.run.Runtime.results in
       let emit fuse (o : Runner.outcome) sw ab =
         Printf.printf "  %6d %6s %10d %12.1f %10d %14.1f %6b\n" batch_events
           (if fuse then "on" else "off")
@@ -1142,7 +1156,7 @@ let tenants_bench () =
   let module Multi = Sbt_core.Multi in
   let module V = Sbt_attest.Verifier in
   let counts = if smoke then [ 1; 8 ] else if quick then [ 1; 8; 64 ] else [ 1; 8; 64; 256 ] in
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
+  let cost = Runtime.deterministic_cost D.Full in
   let cfg = Sbt_core.Runtime.Config.make ~cores:4 ~cost () in
   Printf.printf
     "  N small tenant pipelines (taxi per-fleet, power per-district mixes) share the\n";
@@ -1374,7 +1388,9 @@ let disorder_bench () =
       List.iter
         (fun rate ->
           let outcome =
-            Runner.run ~cores_list:[ 4 ] ~deterministic:true ~late_policy:policy
+            report ~cores_list:[ 4 ]
+              (Runtime.Config.make ~cores:4 ~cost:(Runtime.deterministic_cost D.Full)
+                 ~late_policy:policy ())
               (bench ()).B.pipeline (frames rate)
           in
           let pt = List.hd outcome.Runner.points in
@@ -1384,7 +1400,7 @@ let disorder_bench () =
                [
                  ("policy", J.Str pname);
                  ("disorder", J.Num rate);
-                 ("events", J.num_of_int outcome.Runner.total_events);
+                 ("events", J.num_of_int outcome.Runner.run.Runtime.total_events);
                  ("events_per_s", J.Num pt.Runner.events_per_sec);
                  ("delay_ms", J.Num pt.Runner.delay_ms);
                  ("late_drops", J.num_of_int rep.V.late_drops);
@@ -1429,7 +1445,10 @@ let sections =
 
 let () =
   Printf.printf "StreamBox-TZ benchmark harness (%s scale)\n" scale;
-  Printf.printf "host: 1 physical core; multicore figures come from virtual-time replay (see DESIGN.md)\n";
+  Printf.printf
+    "host: %d core(s) (Domain.recommended_domain_count); multicore figures come from \
+     virtual-time replay (see DESIGN.md)\n"
+    (Domain.recommended_domain_count ());
   let requested = List.tl (Array.to_list Sys.argv) in
   List.iter
     (fun name ->

@@ -3,6 +3,8 @@
 
 module B = Sbt_workloads.Benchmarks
 module Runner = Sbt_core.Runner
+module Runtime = Sbt_core.Runtime
+module Session = Sbt_core.Session
 module D = Sbt_core.Dataplane
 module Fault = Sbt_fault.Fault
 module Lossy = Sbt_net.Lossy
@@ -60,113 +62,138 @@ let session_pipeline session_gap (pipe : Sbt_core.Pipeline.t) =
   | Some g -> Sbt_core.Pipeline.with_session_gap pipe ~gap_ticks:g
   | None -> pipe
 
-let run name version windows events_per_window batch cores_list target_ms hints fuse verbose
-    frames_in audit_out trace_out exec_domains exec_mode deterministic exec_time_scale
-    results_out disorder late_policy session_gap undeclared_late fault_seed =
+let benchmark name =
   match B.by_name name with
+  | Some mk -> mk
   | None ->
       Printf.eprintf "unknown benchmark %S (topk|distinct|join|winsum|fps|filter|power|vitals)\n" name;
       exit 1
-  | Some mk ->
-      let module V = Sbt_attest.Verifier in
-      let encrypted = match version with D.Full | D.Io_via_os -> true | _ -> false in
-      let bench = mk ~windows ~events_per_window ~batch_events:batch ~encrypted () in
-      let target = Option.value ~default:bench.B.target_delay_ms target_ms in
-      let pipeline = session_pipeline session_gap bench.B.pipeline in
-      let frames =
-        match frames_in with
-        | Some path -> Sbt_io.read_frames path
-        | None ->
-            if disorder > 0.0 then disordered_frames ~seed:fault_seed ~rate:disorder bench.B.spec
-            else B.frames bench
+
+let encrypted_for = function D.Full | D.Io_via_os -> true | D.Clear_ingress | D.Insecure -> false
+
+(* [Runtime.Config.make] with the version and, for --deterministic, its
+   deterministic cost model applied; every mode builds its config here. *)
+let config ~deterministic version =
+  let cost = if deterministic then Some (Runtime.deterministic_cost version) else None in
+  Runtime.Config.make ~version ?cost
+
+(* The workload-and-config builder the single-pipeline modes share: the
+   named benchmark, wire-encrypted when the version protects ingress
+   unless overridden. *)
+let workload ?encrypted ~deterministic name version ~windows ~events_per_window ~batch =
+  let encrypted = Option.value encrypted ~default:(encrypted_for version) in
+  ( benchmark name ~windows ~events_per_window ~batch_events:batch ~encrypted (),
+    config ~deterministic version )
+
+let one_tenant cfg ?engine ?exec_mode ?exec_time_scale pipeline frames =
+  Session.create ?engine ?exec_mode ?exec_time_scale cfg
+  |> Session.add_tenant ~pipeline ~source:frames
+
+let run name version windows events_per_window batch cores_list target_ms hints fuse verbose
+    frames_in audit_out trace_out exec_domains exec_mode deterministic exec_time_scale
+    results_out disorder late_policy session_gap undeclared_late fault_seed =
+  let module V = Sbt_attest.Verifier in
+  let bench, make = workload ~deterministic name version ~windows ~events_per_window ~batch in
+  let target = Option.value ~default:bench.B.target_delay_ms target_ms in
+  let pipeline = session_pipeline session_gap bench.B.pipeline in
+  let frames =
+    match frames_in with
+    | Some path -> Sbt_io.read_frames path
+    | None ->
+        if disorder > 0.0 then disordered_frames ~seed:fault_seed ~rate:disorder bench.B.spec
+        else B.frames bench
+  in
+  let tracer =
+    match trace_out with Some _ -> Some (Sbt_obs.Tracer.create ()) | None -> None
+  in
+  let cfg =
+    make ~cores:(List.fold_left max 1 cores_list) ~hints_enabled:hints ~fuse ~late_policy
+      ?tracer ()
+  in
+  let engine = Option.map (fun d -> `Domains d) exec_domains in
+  let outcome =
+    try
+      Runner.run ~cores_list ~target_delay_ms:target
+        (one_tenant cfg ?engine ?exec_mode ?exec_time_scale pipeline frames)
+    with Invalid_argument msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 1
+  in
+  (* --undeclared-late presents the log under a quote claiming the
+     silent policy: the declaration the verifier trusts omits what
+     the edge actually did, and the replay must flag the mismatch. *)
+  let spec_out =
+    let spec = outcome.Runner.run.Runtime.verifier_spec in
+    if undeclared_late then { spec with V.late_policy = 0 } else spec
+  in
+  (match (trace_out, tracer) with
+  | Some path, Some tr ->
+      Sbt_obs.Chrome_trace.write_file tr ~path;
+      Printf.printf "trace written to %s (%d events; load in Perfetto or chrome://tracing)\n"
+        path (Sbt_obs.Tracer.event_count tr)
+  | _ -> ());
+  (match audit_out with
+  | Some path ->
+      Sbt_io.write_audit path spec_out outcome.Runner.run.Runtime.audit;
+      Printf.printf "audit log written to %s (verify with sbt_verify)\n" path
+  | None -> ());
+  (match results_out with
+  | Some path ->
+      (* the cloud-side merge: corrected windows carry their final
+         (highest-generation) bytes, re-sealed under the canonical
+         egress nonce — identical to [results] when nothing was
+         corrected, byte-comparable against an in-order run *)
+      Sbt_io.write_results path outcome.Runner.results_corrected;
+      Printf.printf "sealed results written to %s\n" path
+  | None -> ());
+  if disorder > 0.0 || late_policy <> D.Silent || session_gap <> None then begin
+    let r = outcome.Runner.verifier_report in
+    Printf.printf
+      "late data: %d drop(s) covering %d event(s) | %d correction(s) across %d window(s)\n"
+      r.V.late_drops r.V.late_events r.V.corrections
+      (List.length r.V.corrected_windows)
+  end;
+  Format.printf "%a" Runner.pp_outcome outcome;
+  (match outcome.Runner.run.Runtime.exec with
+  | None -> ()
+  | Some e ->
+      let module E = Sbt_exec.Executor in
+      let busy =
+        Array.fold_left (fun a (d : E.domain_stats) -> a +. d.E.busy_ns) 0.0
+          e.E.per_domain
       in
-      let tracer =
-        match trace_out with Some _ -> Some (Sbt_obs.Tracer.create ()) | None -> None
+      Printf.printf
+        "exec: %d domains | wall %.1f ms | %d tasks | %d chunks | %d steals | %d parks | busy/wall %.2f | scratch hw %d B\n"
+        e.E.domains (e.E.wall_ns /. 1e6) e.E.tasks_executed e.E.chunks_executed
+        (E.total_steals e) (E.total_parks e)
+        (busy /. Float.max 1.0 e.E.wall_ns)
+        e.E.scratch_high_water_bytes);
+  if verbose then begin
+    let s = outcome.Runner.run.Runtime.dp_stats in
+    Format.printf
+      "compute %.1f ms | mem %.1f ms | crypto %.1f ms | ingest %.1f ms | %d switch pairs | %d invocations@."
+      (s.D.compute_ns /. 1e6) (s.D.mem_ns /. 1e6) (s.D.crypto_ns /. 1e6)
+      (s.D.ingest_ns /. 1e6) s.D.switch_pairs s.D.invocations;
+    Format.printf "audit: %d records, raw %d B, compressed %d B@." outcome.Runner.audit_records
+      outcome.Runner.audit_raw_bytes outcome.Runner.audit_compressed_bytes;
+    Format.printf "verifier: %a" Sbt_attest.Verifier.pp_report outcome.Runner.verifier_report
+  end;
+  let stripped_ok =
+    if not undeclared_late then true
+    else begin
+      let key = cfg.Runtime.dp_config.D.egress_key in
+      let records =
+        List.concat_map
+          (fun b -> Sbt_attest.Log.open_batch ~key b)
+          outcome.Runner.run.Runtime.audit
       in
-      let outcome =
-        try
-          Runner.run ~cores_list ~target_delay_ms:target ~version ~hints_enabled:hints ~fuse
-            ~late_policy ?tracer ~deterministic ?exec_domains ?exec_mode ?exec_time_scale
-            pipeline frames
-        with Invalid_argument msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 1
-      in
-      (* --undeclared-late presents the log under a quote claiming the
-         silent policy: the declaration the verifier trusts omits what
-         the edge actually did, and the replay must flag the mismatch. *)
-      let spec_out =
-        if undeclared_late then { outcome.Runner.spec with V.late_policy = 0 }
-        else outcome.Runner.spec
-      in
-      (match (trace_out, tracer) with
-      | Some path, Some tr ->
-          Sbt_obs.Chrome_trace.write_file tr ~path;
-          Printf.printf "trace written to %s (%d events; load in Perfetto or chrome://tracing)\n"
-            path (Sbt_obs.Tracer.event_count tr)
-      | _ -> ());
-      (match audit_out with
-      | Some path ->
-          Sbt_io.write_audit path spec_out outcome.Runner.audit;
-          Printf.printf "audit log written to %s (verify with sbt_verify)\n" path
-      | None -> ());
-      (match results_out with
-      | Some path ->
-          (* the cloud-side merge: corrected windows carry their final
-             (highest-generation) bytes, re-sealed under the canonical
-             egress nonce — identical to [results] when nothing was
-             corrected, byte-comparable against an in-order run *)
-          Sbt_io.write_results path outcome.Runner.results_corrected;
-          Printf.printf "sealed results written to %s\n" path
-      | None -> ());
-      if disorder > 0.0 || late_policy <> D.Silent || session_gap <> None then begin
-        let r = outcome.Runner.verifier_report in
-        Printf.printf
-          "late data: %d drop(s) covering %d event(s) | %d correction(s) across %d window(s)\n"
-          r.V.late_drops r.V.late_events r.V.corrections
-          (List.length r.V.corrected_windows)
-      end;
-      Format.printf "%a" Runner.pp_outcome outcome;
-      (match outcome.Runner.exec with
-      | None -> ()
-      | Some e ->
-          let module E = Sbt_exec.Executor in
-          let busy =
-            Array.fold_left (fun a (d : E.domain_stats) -> a +. d.E.busy_ns) 0.0
-              e.E.per_domain
-          in
-          Printf.printf
-            "exec: %d domains | wall %.1f ms | %d tasks | %d chunks | %d steals | %d parks | busy/wall %.2f | scratch hw %d B\n"
-            e.E.domains (e.E.wall_ns /. 1e6) e.E.tasks_executed e.E.chunks_executed
-            (E.total_steals e) (E.total_parks e)
-            (busy /. Float.max 1.0 e.E.wall_ns)
-            e.E.scratch_high_water_bytes);
-      if verbose then begin
-        let s = outcome.Runner.dp_stats in
-        Format.printf
-          "compute %.1f ms | mem %.1f ms | crypto %.1f ms | ingest %.1f ms | %d switch pairs | %d invocations@."
-          (s.D.compute_ns /. 1e6) (s.D.mem_ns /. 1e6) (s.D.crypto_ns /. 1e6)
-          (s.D.ingest_ns /. 1e6) s.D.switch_pairs s.D.invocations;
-        Format.printf "audit: %d records, raw %d B, compressed %d B@." outcome.Runner.audit_records
-          outcome.Runner.audit_raw_bytes outcome.Runner.audit_compressed_bytes;
-        Format.printf "verifier: %a" Sbt_attest.Verifier.pp_report outcome.Runner.verifier_report
-      end;
-      let stripped_ok =
-        if not undeclared_late then true
-        else begin
-          let key = (D.default_config ~version ()).D.egress_key in
-          let records =
-            List.concat_map
-              (fun b -> Sbt_attest.Log.open_batch ~key b)
-              outcome.Runner.audit
-          in
-          let r = Sbt_attest.Verifier.verify spec_out records in
-          Printf.printf "undeclared-late check: %d violation(s) under the stripped declaration\n"
-            (List.length r.Sbt_attest.Verifier.violations);
-          Sbt_attest.Verifier.ok r
-        end
-      in
-      if not (outcome.Runner.verified && stripped_ok) then exit 2
+      let r = Sbt_attest.Verifier.verify spec_out records in
+      Printf.printf "undeclared-late check: %d violation(s) under the stripped declaration\n"
+        (List.length r.Sbt_attest.Verifier.violations);
+      Sbt_attest.Verifier.ok r
+    end
+  in
+  if not (outcome.Runner.verified && stripped_ok) then exit 2
 
 (* --- crash/recovery --------------------------------------------------------
 
@@ -179,76 +206,59 @@ let run name version windows events_per_window batch cores_list target_ms hints 
    uses to prove the crash actually fired. *)
 let recovery name version windows events_per_window batch ckpt_every max_restarts crash_at
     crash_site recover deterministic verbose audit_out results_out =
-  match B.by_name name with
-  | None ->
-      Printf.eprintf "unknown benchmark %S (topk|distinct|join|winsum|fps|filter|power|vitals)\n" name;
-      exit 1
-  | Some mk ->
-      let module Runtime = Sbt_core.Runtime in
-      let module V = Sbt_attest.Verifier in
-      let encrypted = match version with D.Full | D.Io_via_os -> true | _ -> false in
-      let bench = mk ~windows ~events_per_window ~batch_events:batch ~encrypted () in
-      let fault_plan =
-        match crash_at with
-        | None -> Fault.none
-        | Some n -> Fault.with_crash Fault.none ~site:crash_site ~after_tasks:n
-      in
-      let cost =
-        if deterministic then
-          let base =
-            match version with
-            | D.Insecure -> Sbt_tz.Cost_model.free
-            | D.Full | D.Clear_ingress | D.Io_via_os -> Sbt_tz.Cost_model.default
-          in
-          Some { base with Sbt_tz.Cost_model.host_scale = 0.0 }
-        else None
-      in
-      let cfg = Runtime.Config.make ~version ?cost ~fault_plan () in
-      let frames = B.frames bench in
-      let spec = Sbt_core.Pipeline.verifier_spec bench.B.pipeline in
-      if not recover then (
-        (* Crash armed but no supervisor: the run dies where the crash
-           fires, keeping only what the normal world already held. *)
-        match Runtime.run cfg bench.B.pipeline frames with
-        | outcome ->
-            Printf.printf "run completed (%d results) — crash point beyond the run\n"
-              (List.length outcome.Runtime.results);
-            if crash_at <> None then exit 3
-        | exception Runtime.Crashed { site; uploads; results } ->
-            Printf.printf
-              "crashed at %s: %d audit batches and %d sealed results durable, in-TEE state lost \
-               (re-run with --recover)\n"
-              (Fault.site_name site) (List.length uploads) (List.length results);
-            exit 3)
-      else begin
-        let s = Runtime.run_supervised ~max_restarts ~ckpt_every cfg bench.B.pipeline frames in
+  let module V = Sbt_attest.Verifier in
+  let bench, make = workload ~deterministic name version ~windows ~events_per_window ~batch in
+  let fault_plan =
+    match crash_at with
+    | None -> Fault.none
+    | Some n -> Fault.with_crash Fault.none ~site:crash_site ~after_tasks:n
+  in
+  let cfg = make ~fault_plan () in
+  let frames = B.frames bench in
+  let spec = Sbt_core.Pipeline.verifier_spec bench.B.pipeline in
+  if not recover then (
+    (* Crash armed but no supervisor: the run dies where the crash
+       fires, keeping only what the normal world already held. *)
+    match Runtime.run cfg bench.B.pipeline frames with
+    | outcome ->
+        Printf.printf "run completed (%d results) — crash point beyond the run\n"
+          (List.length outcome.Runtime.results);
+        if crash_at <> None then exit 3
+    | exception Runtime.Crashed { site; uploads; results } ->
         Printf.printf
-          "recovery: %d epoch(s), %d crash(es)%s | %d checkpoint(s), %d sealed B | %d frame(s) \
-           replayed\n"
-          s.Runtime.sv_epoch_count
-          (List.length s.Runtime.sv_crash_sites)
-          (match s.Runtime.sv_crash_sites with
-          | [] -> ""
-          | sites -> " [" ^ String.concat ", " (List.map Fault.site_name sites) ^ "]")
-          s.Runtime.sv_checkpoints s.Runtime.sv_checkpoint_bytes s.Runtime.sv_replayed_frames;
-        (match audit_out with
-        | Some path ->
-            Sbt_io.write_audit path spec s.Runtime.sv_audit;
-            Printf.printf "stitched audit log written to %s\n" path
-        | None -> ());
-        (match results_out with
-        | Some path ->
-            Sbt_io.write_results path s.Runtime.sv_results;
-            Printf.printf "sealed results written to %s\n" path
-        | None -> ());
-        let r = s.Runtime.sv_report in
-        if verbose then Format.printf "verifier: %a" V.pp_report r
-        else
-          Printf.printf "verifier: %s (%d windows, %d violations)\n"
-            (if V.ok r then "ok" else "VIOLATIONS")
-            r.V.windows_verified (List.length r.V.violations);
-        if not (V.ok r) then exit 2
-      end
+          "crashed at %s: %d audit batches and %d sealed results durable, in-TEE state lost \
+           (re-run with --recover)\n"
+          (Fault.site_name site) (List.length uploads) (List.length results);
+        exit 3)
+  else begin
+    let s = Runtime.run_supervised ~max_restarts ~ckpt_every cfg bench.B.pipeline frames in
+    Printf.printf
+      "recovery: %d epoch(s), %d crash(es)%s | %d checkpoint(s), %d sealed B | %d frame(s) \
+       replayed\n"
+      s.Runtime.sv_epoch_count
+      (List.length s.Runtime.sv_crash_sites)
+      (match s.Runtime.sv_crash_sites with
+      | [] -> ""
+      | sites -> " [" ^ String.concat ", " (List.map Fault.site_name sites) ^ "]")
+      s.Runtime.sv_checkpoints s.Runtime.sv_checkpoint_bytes s.Runtime.sv_replayed_frames;
+    (match audit_out with
+    | Some path ->
+        Sbt_io.write_audit path spec s.Runtime.sv_audit;
+        Printf.printf "stitched audit log written to %s\n" path
+    | None -> ());
+    (match results_out with
+    | Some path ->
+        Sbt_io.write_results path s.Runtime.sv_results;
+        Printf.printf "sealed results written to %s\n" path
+    | None -> ());
+    let r = s.Runtime.sv_report in
+    if verbose then Format.printf "verifier: %a" V.pp_report r
+    else
+      Printf.printf "verifier: %s (%d windows, %d violations)\n"
+        (if V.ok r then "ok" else "VIOLATIONS")
+        r.V.windows_verified (List.length r.V.violations);
+    if not (V.ok r) then exit 2
+  end
 
 (* --- resilience scenario ---------------------------------------------------
 
@@ -258,66 +268,60 @@ let recovery name version windows events_per_window batch ckpt_every max_restart
    Reports goodput and whether loss surfaced as declared degradation
    (verified) or as violations (tamper evidence). *)
 let resilience name version windows events_per_window batch fault_rates fault_seed =
-  match B.by_name name with
-  | None ->
-      Printf.eprintf "unknown benchmark %S (topk|distinct|join|winsum|fps|filter|power|vitals)\n" name;
-      exit 1
-  | Some mk ->
-      let encrypted = match version with D.Full | D.Io_via_os -> true | _ -> false in
-      let bench = mk ~windows ~events_per_window ~batch_events:batch ~encrypted () in
-      let spec = { bench.B.spec with Sbt_workloads.Datagen.authenticated = true } in
-      let total_events = Sbt_workloads.Datagen.total_events spec in
-      let clean_frames = Sbt_workloads.Datagen.frames spec in
-      Printf.printf "resilience: %s / %s, %d events, seed %Ld\n" bench.B.name
-        (D.version_name version) total_events fault_seed;
-      Printf.printf "%-6s %-28s %-9s %-5s %-7s %-7s %-10s %s\n" "rate" "link(del/drop/corr)" "goodput"
-        "gaps" "shed" "busy" "verified" "uplink-drop";
-      let all_verified = ref true in
-      List.iter
-        (fun rate ->
-          let plan = Fault.uniform ~seed:fault_seed ~rate () in
-          let frames, link = Lossy.apply plan clean_frames in
-          let outcome = Runner.run ~version ~fault_plan:plan bench.B.pipeline frames in
-          (* Events that survived the link AND were ingested, over events the
-             source generated: frames the link ate never reach the control
-             plane, so they are missing from [total_events] already. *)
-          let goodput =
-            float_of_int
-              (outcome.Runner.total_events
-              - Sbt_core.Runtime.Loss.events_dropped outcome.Runner.loss)
-            /. float_of_int (max 1 total_events)
+  let bench, make = workload ~deterministic:false name version ~windows ~events_per_window ~batch in
+  let spec = { bench.B.spec with Sbt_workloads.Datagen.authenticated = true } in
+  let total_events = Sbt_workloads.Datagen.total_events spec in
+  let clean_frames = Sbt_workloads.Datagen.frames spec in
+  Printf.printf "resilience: %s / %s, %d events, seed %Ld\n" bench.B.name
+    (D.version_name version) total_events fault_seed;
+  Printf.printf "%-6s %-28s %-9s %-5s %-7s %-7s %-10s %s\n" "rate" "link(del/drop/corr)" "goodput"
+    "gaps" "shed" "busy" "verified" "uplink-drop";
+  let all_verified = ref true in
+  List.iter
+    (fun rate ->
+      let plan = Fault.uniform ~seed:fault_seed ~rate () in
+      let frames, link = Lossy.apply plan clean_frames in
+      let cfg = make ~fault_plan:plan () in
+      let outcome = Runner.run (one_tenant cfg bench.B.pipeline frames) in
+      let r = outcome.Runner.run in
+      (* Events that survived the link AND were ingested, over events the
+         source generated: frames the link ate never reach the control
+         plane, so they are missing from [total_events] already. *)
+      let goodput =
+        float_of_int (r.Runtime.total_events - Runtime.Loss.events_dropped r.Runtime.loss)
+        /. float_of_int (max 1 total_events)
+      in
+      (* The uplink leg: drop whole signed batches and replay what is
+         left - the verifier must notice the hole. *)
+      let kept =
+        List.filter
+          (fun (b : Sbt_attest.Log.batch) -> not (Fault.uplink_drops plan ~seq:b.Sbt_attest.Log.seq))
+          r.Runtime.audit
+      in
+      let egress_key = cfg.Runtime.dp_config.D.egress_key in
+      let uplink_verdict =
+        if List.length kept = List.length r.Runtime.audit then "none"
+        else
+          let records =
+            List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) kept
           in
-          (* The uplink leg: drop whole signed batches and replay what is
-             left - the verifier must notice the hole. *)
-          let kept =
-            List.filter
-              (fun (b : Sbt_attest.Log.batch) -> not (Fault.uplink_drops plan ~seq:b.Sbt_attest.Log.seq))
-              outcome.Runner.audit
-          in
-          let egress_key = (D.default_config ~version ()).D.egress_key in
-          let uplink_verdict =
-            if List.length kept = List.length outcome.Runner.audit then "none"
-            else
-              let records =
-                List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) kept
-              in
-              let r = Sbt_attest.Verifier.verify outcome.Runner.spec records in
-              Printf.sprintf "%d batches lost -> %d violations"
-                (List.length outcome.Runner.audit - List.length kept)
-                (List.length r.Sbt_attest.Verifier.violations)
-          in
-          if not outcome.Runner.verified then all_verified := false;
-          Printf.printf "%-6.2f %-28s %-9.3f %-5d %-7d %-7d %-10b %s\n" rate
-            (Printf.sprintf "%d/%d/%d" link.Lossy.delivered link.Lossy.dropped link.Lossy.corrupted)
-            goodput
-            (Sbt_core.Runtime.Loss.gaps_declared outcome.Runner.loss)
-            outcome.Runner.dp_stats.D.sheds
-            outcome.Runner.dp_stats.D.smc_busy_rejections outcome.Runner.verified uplink_verdict)
-        fault_rates;
-      (* Loss must surface as declared degradation, never as tamper
-         evidence: any rate whose replay raised violations fails the
-         sweep (previously this path always exited 0). *)
-      if not !all_verified then exit 2
+          let v = Sbt_attest.Verifier.verify r.Runtime.verifier_spec records in
+          Printf.sprintf "%d batches lost -> %d violations"
+            (List.length r.Runtime.audit - List.length kept)
+            (List.length v.Sbt_attest.Verifier.violations)
+      in
+      if not outcome.Runner.verified then all_verified := false;
+      Printf.printf "%-6.2f %-28s %-9.3f %-5d %-7d %-7d %-10b %s\n" rate
+        (Printf.sprintf "%d/%d/%d" link.Lossy.delivered link.Lossy.dropped link.Lossy.corrupted)
+        goodput
+        (Runtime.Loss.gaps_declared r.Runtime.loss)
+        r.Runtime.dp_stats.D.sheds r.Runtime.dp_stats.D.smc_busy_rejections
+        outcome.Runner.verified uplink_verdict)
+    fault_rates;
+  (* Loss must surface as declared degradation, never as tamper
+     evidence: any rate whose replay raised violations fails the
+     sweep (previously this path always exited 0). *)
+  if not !all_verified then exit 2
 
 (* --- fleet under churn ------------------------------------------------------
 
@@ -333,104 +337,90 @@ let resilience name version windows events_per_window batch fault_rates fault_se
 let fleet name version windows events_per_window batch m partition_by kills uplinks stragglers
     suspect_after recover_after rogue omit_manifests ckpt_every deterministic verbose audit_out
     results_out =
-  match B.by_name name with
-  | None ->
-      Printf.eprintf "unknown benchmark %S (topk|distinct|join|winsum|fps|filter|power|vitals)\n" name;
+  let module V = Sbt_attest.Verifier in
+  let module Fleet = Sbt_fleet.Fleet in
+  (* partitioning happens at the source, before wire protection *)
+  let bench, make =
+    workload ~encrypted:false ~deterministic name version ~windows ~events_per_window ~batch
+  in
+  if partition_by <> "key" then begin
+    Printf.eprintf "unsupported --partition-by %S (only: key)\n" partition_by;
+    exit 1
+  end;
+  let cfg = make () in
+  let events =
+    List.map (fun (node, at_beat, permanent) -> Fault.Kill { node; at_beat; permanent }) kills
+    @ List.map (fun (node, at_beat, beats) -> Fault.Uplink_partition { node; at_beat; beats })
+        uplinks
+    @ List.map (fun (node, factor) -> Fault.Straggle { node; factor }) stragglers
+  in
+  let scenario =
+    try Fault.fleet_scenario ~recover_after ~suspect_after events
+    with Invalid_argument msg ->
+      Printf.eprintf "bad churn scenario: %s\n" msg;
       exit 1
-  | Some mk ->
-      let module Runtime = Sbt_core.Runtime in
-      let module V = Sbt_attest.Verifier in
-      let module Fleet = Sbt_fleet.Fleet in
-      if partition_by <> "key" then begin
-        Printf.eprintf "unsupported --partition-by %S (only: key)\n" partition_by;
-        exit 1
-      end;
-      (* partitioning happens at the source, before wire protection *)
-      let bench = mk ~windows ~events_per_window ~batch_events:batch ~encrypted:false () in
-      let cost =
-        if deterministic then
-          let base =
-            match version with
-            | D.Insecure -> Sbt_tz.Cost_model.free
-            | D.Full | D.Clear_ingress | D.Io_via_os -> Sbt_tz.Cost_model.default
-          in
-          Some { base with Sbt_tz.Cost_model.host_scale = 0.0 }
-        else None
+  in
+  let frames = B.frames bench in
+  match
+    Fleet.run_session ~ckpt_every ~rogue_handoff:rogue ~scenario ~nodes:m ~batch_events:batch
+      (one_tenant cfg bench.B.pipeline frames)
+  with
+  | exception Fleet.No_survivor { partition; beat } ->
+      Printf.eprintf
+        "partition %d lost its edge at beat %d and no eligible survivor remains\n" partition
+        beat;
+      exit 3
+  | s ->
+      let throughput =
+        float_of_int s.Fleet.total_events /. Float.max 1e-9 (s.Fleet.makespan_ns /. 1e9)
       in
-      let cfg = Sbt_core.Runtime.Config.make ~version ?cost () in
-      let events =
-        List.map (fun (node, at_beat, permanent) -> Fault.Kill { node; at_beat; permanent }) kills
-        @ List.map (fun (node, at_beat, beats) -> Fault.Uplink_partition { node; at_beat; beats })
-            uplinks
-        @ List.map (fun (node, factor) -> Fault.Straggle { node; factor }) stragglers
-      in
-      let scenario =
-        try Fault.fleet_scenario ~recover_after ~suspect_after events
-        with Invalid_argument msg ->
-          Printf.eprintf "bad churn scenario: %s\n" msg;
-          exit 1
-      in
-      let frames = B.frames bench in
-      match
-        Fleet.run ~ckpt_every ~rogue_handoff:rogue ~scenario ~nodes:m ~batch_events:batch cfg
-          bench.B.pipeline frames
-      with
-      | exception Fleet.No_survivor { partition; beat } ->
-          Printf.eprintf
-            "partition %d lost its edge at beat %d and no eligible survivor remains\n" partition
-            beat;
-          exit 3
-      | s ->
-          let throughput =
-            float_of_int s.Fleet.total_events /. Float.max 1e-9 (s.Fleet.makespan_ns /. 1e9)
-          in
+      Printf.printf
+        "fleet: %d edges | %d windows x %d partitions | %d events | makespan %.2f ms | %.0f events/s\n"
+        s.Fleet.nodes s.Fleet.windows s.Fleet.nodes s.Fleet.total_events
+        (s.Fleet.makespan_ns /. 1e6) throughput;
+      Printf.printf
+        "churn: %d death(s), %d handoff(s) sealed, %d suspicion(s) raised / %d cleared, %d \
+         fenced heartbeat(s), %d frame(s) re-ingested\n"
+        s.Fleet.deaths
+        (List.length s.Fleet.handoffs)
+        s.Fleet.suspicions_raised s.Fleet.suspicions_cleared s.Fleet.fenced_heartbeats
+        s.Fleet.replayed_frames;
+      List.iter
+        (fun ((mh : Sbt_attest.Handoff.manifest), _) ->
           Printf.printf
-            "fleet: %d edges | %d windows x %d partitions | %d events | makespan %.2f ms | %.0f events/s\n"
-            s.Fleet.nodes s.Fleet.windows s.Fleet.nodes s.Fleet.total_events
-            (s.Fleet.makespan_ns /. 1e6) throughput;
-          Printf.printf
-            "churn: %d death(s), %d handoff(s) sealed, %d suspicion(s) raised / %d cleared, %d \
-             fenced heartbeat(s), %d frame(s) re-ingested\n"
-            s.Fleet.deaths
-            (List.length s.Fleet.handoffs)
-            s.Fleet.suspicions_raised s.Fleet.suspicions_cleared s.Fleet.fenced_heartbeats
-            s.Fleet.replayed_frames;
-          List.iter
-            (fun ((mh : Sbt_attest.Handoff.manifest), _) ->
-              Printf.printf
-                "handoff: partition %d, edge %d (epoch %d) -> edge %d, resume ckpt %d / cursor %d\n"
-                mh.Sbt_attest.Handoff.partition mh.Sbt_attest.Handoff.donor
-                mh.Sbt_attest.Handoff.donor_epoch mh.Sbt_attest.Handoff.recipient
-                mh.Sbt_attest.Handoff.resume_ckpt mh.Sbt_attest.Handoff.resume_cursor)
-            s.Fleet.handoffs;
-          (* durable outputs land before the verdict decides the exit code *)
-          (match audit_out with
-          | Some path ->
-              let manifests =
-                if omit_manifests then [] else List.map snd s.Fleet.handoffs
-              in
-              Sbt_io.write_fleet_audit path
-                (Sbt_core.Pipeline.verifier_spec bench.B.pipeline)
-                ~partitions:s.Fleet.nodes ~windows:s.Fleet.windows s.Fleet.edges manifests;
-              Printf.printf "fleet audit bundle written to %s%s (verify with sbt_verify)\n" path
-                (if omit_manifests && s.Fleet.handoffs <> [] then
-                   Printf.sprintf " with %d handoff manifest(s) DELIBERATELY OMITTED"
-                     (List.length s.Fleet.handoffs)
-                 else "")
-          | None -> ());
-          (match results_out with
-          | Some path ->
-              Sbt_io.write_results path
-                (List.map (fun (_, p, sr) -> (p, sr)) s.Fleet.merged);
-              Printf.printf "merged sealed results written to %s\n" path
-          | None -> ());
-          let r = s.Fleet.report in
-          if verbose then Format.printf "fleet verifier: %a" V.pp_fleet_report r
-          else
-            Printf.printf "fleet verifier: %s (%d/%d partitions, %d handoff(s) verified)\n"
-              (if V.fleet_ok r then "ok" else "VIOLATIONS")
-              r.V.partitions_present r.V.partitions_expected r.V.handoffs_verified;
-          if not (V.fleet_ok r) then exit 2
+            "handoff: partition %d, edge %d (epoch %d) -> edge %d, resume ckpt %d / cursor %d\n"
+            mh.Sbt_attest.Handoff.partition mh.Sbt_attest.Handoff.donor
+            mh.Sbt_attest.Handoff.donor_epoch mh.Sbt_attest.Handoff.recipient
+            mh.Sbt_attest.Handoff.resume_ckpt mh.Sbt_attest.Handoff.resume_cursor)
+        s.Fleet.handoffs;
+      (* durable outputs land before the verdict decides the exit code *)
+      (match audit_out with
+      | Some path ->
+          let manifests =
+            if omit_manifests then [] else List.map snd s.Fleet.handoffs
+          in
+          Sbt_io.write_fleet_audit path
+            (Sbt_core.Pipeline.verifier_spec bench.B.pipeline)
+            ~partitions:s.Fleet.nodes ~windows:s.Fleet.windows s.Fleet.edges manifests;
+          Printf.printf "fleet audit bundle written to %s%s (verify with sbt_verify)\n" path
+            (if omit_manifests && s.Fleet.handoffs <> [] then
+               Printf.sprintf " with %d handoff manifest(s) DELIBERATELY OMITTED"
+                 (List.length s.Fleet.handoffs)
+             else "")
+      | None -> ());
+      (match results_out with
+      | Some path ->
+          Sbt_io.write_results path
+            (List.map (fun (_, p, sr) -> (p, sr)) s.Fleet.merged);
+          Printf.printf "merged sealed results written to %s\n" path
+      | None -> ());
+      let r = s.Fleet.report in
+      if verbose then Format.printf "fleet verifier: %a" V.pp_fleet_report r
+      else
+        Printf.printf "fleet verifier: %s (%d/%d partitions, %d handoff(s) verified)\n"
+          (if V.fleet_ok r then "ok" else "VIOLATIONS")
+          r.V.partitions_present r.V.partitions_expected r.V.handoffs_verified;
+      if not (V.fleet_ok r) then exit 2
 
 (* --- multi-tenant enclave ---------------------------------------------------
 
@@ -445,15 +435,13 @@ let fleet name version windows events_per_window batch m partition_by kills upli
 let tenants_run name version windows events_per_window batch n mix_name quotas solo hints fuse
     exec_domains exec_mode deterministic exec_time_scale disorder late_policy session_gap
     fault_seed verbose audit_out results_out =
-  let module Session = Sbt_core.Session in
   let module Multi = Sbt_core.Multi in
-  let module Runtime = Sbt_core.Runtime in
   let module V = Sbt_attest.Verifier in
   if n < 1 then begin
     Printf.eprintf "--tenants must be >= 1\n";
     exit 1
   end;
-  let encrypted = match version with D.Full | D.Io_via_os -> true | _ -> false in
+  let encrypted = encrypted_for version in
   let workload i =
     match mix_name with
     | Some m -> (
@@ -462,13 +450,7 @@ let tenants_run name version windows events_per_window batch n mix_name quotas s
         | None ->
             Printf.eprintf "unknown tenant mix %S (%s)\n" m (String.concat "|" B.mix_names);
             exit 1)
-    | None -> (
-        match B.by_name name with
-        | Some mk -> mk ~windows ~events_per_window ~batch_events:batch ~encrypted ()
-        | None ->
-            Printf.eprintf "unknown benchmark %S (topk|distinct|join|winsum|fps|filter|power|vitals)\n"
-              name;
-            exit 1)
+    | None -> benchmark name ~windows ~events_per_window ~batch_events:batch ~encrypted ()
   in
   let quota_for id =
     let pick sel = List.filter_map (fun (s, p) -> if s = sel then Some p else None) quotas in
@@ -477,17 +459,7 @@ let tenants_run name version windows events_per_window batch n mix_name quotas s
     | [], p :: _ -> Some p
     | [], [] -> None
   in
-  let cost =
-    if deterministic then
-      let base =
-        match version with
-        | D.Insecure -> Sbt_tz.Cost_model.free
-        | D.Full | D.Clear_ingress | D.Io_via_os -> Sbt_tz.Cost_model.default
-      in
-      Some { base with Sbt_tz.Cost_model.host_scale = 0.0 }
-    else None
-  in
-  let cfg = Runtime.Config.make ~version ?cost ~hints_enabled:hints ~fuse ~late_policy () in
+  let cfg = config ~deterministic version ~hints_enabled:hints ~fuse ~late_policy () in
   let engine =
     match exec_domains with Some d -> `Domains d | None -> `Des cfg.Runtime.cores
   in

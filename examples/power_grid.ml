@@ -12,6 +12,8 @@
 
 module B = Sbt_workloads.Benchmarks
 module Runner = Sbt_core.Runner
+module Runtime = Sbt_core.Runtime
+module Session = Sbt_core.Session
 module D = Sbt_core.Dataplane
 
 let egress_key = Bytes.of_string "sbt-egress-key16"
@@ -21,11 +23,11 @@ let run_in_tee_prediction () =
   let bench = B.power ~windows:5 ~events_per_window:20_000 ~batch_events:5_000 () in
   let pipe = Sbt_core.Pipeline.load_predict ~alpha_percent:50 () in
   let r =
-    Sbt_core.Session.create (Sbt_core.Control.Config.make ())
-    |> Sbt_core.Session.add_tenant ~pipeline:pipe ~source:(B.frames bench)
-    |> Sbt_core.Session.run_single
+    Session.create (Runtime.Config.make ())
+    |> Session.add_tenant ~pipeline:pipe ~source:(B.frames bench)
+    |> Session.run_single
   in
-  List.sort compare r.Sbt_core.Control.results
+  List.sort compare r.Runtime.results
   |> List.iter (fun (w, sealed) ->
          let rows = D.open_result ~egress_key sealed in
          Printf.printf "window %d predictions (house:load):" w;
@@ -37,9 +39,9 @@ let run_in_tee_prediction () =
   let records =
     List.concat_map
       (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b)
-      r.Sbt_core.Control.audit
+      r.Runtime.audit
   in
-  let report = Sbt_attest.Verifier.verify r.Sbt_core.Control.verifier_spec records in
+  let report = Sbt_attest.Verifier.verify r.Runtime.verifier_spec records in
   Printf.printf "stateful attestation (state uArrays flow across windows): %s\n"
     (if Sbt_attest.Verifier.ok report then "OK" else "VIOLATIONS")
 
@@ -48,8 +50,9 @@ let () =
   print_endline "-- part 1: houses with the most above-average plugs (9.2 Power) --";
   let bench = B.power ~windows:5 ~events_per_window:40_000 ~batch_events:8_000 () in
   let outcome =
-    Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms bench.B.pipeline
-      (B.frames bench)
+    Session.create (Runtime.Config.make ())
+    |> Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
+    |> Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms
   in
   (* Per window: the houses with the most high-power plugs. *)
   let ewma : (int, float) Hashtbl.t = Hashtbl.create 64 in
@@ -68,7 +71,7 @@ let () =
           Hashtbl.replace ewma house ((alpha *. float_of_int count) +. ((1.0 -. alpha) *. prev)))
         rows;
       print_newline ())
-    outcome.Runner.results;
+    outcome.Runner.run.Runtime.results;
   print_endline "predicted high-power plug counts for the next window:";
   Hashtbl.fold (fun h p acc -> (h, p) :: acc) ewma []
   |> List.sort (fun (_, a) (_, b) -> compare b a)

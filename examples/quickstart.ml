@@ -6,6 +6,8 @@
 
 module B = Sbt_workloads.Benchmarks
 module Runner = Sbt_core.Runner
+module Runtime = Sbt_core.Runtime
+module Session = Sbt_core.Session
 module D = Sbt_core.Dataplane
 
 let () =
@@ -21,8 +23,9 @@ let () =
         also replays the recorded schedule at several core counts to find
         the max sustainable throughput under the delay target. *)
   let outcome =
-    Runner.run ~cores_list:[ 2; 4; 8 ] ~target_delay_ms:bench.B.target_delay_ms bench.B.pipeline
-      frames
+    Session.create (Runtime.Config.make ())
+    |> Session.add_tenant ~pipeline:bench.B.pipeline ~source:frames
+    |> Runner.run ~cores_list:[ 2; 4; 8 ] ~target_delay_ms:bench.B.target_delay_ms
   in
 
   (* 3. Results arrive encrypted and signed; open them with the shared key. *)
@@ -33,7 +36,7 @@ let () =
       let lo = Int64.logand (Int64.of_int32 rows.(0).(0)) 0xFFFFFFFFL in
       let hi = Int64.shift_left (Int64.of_int32 rows.(0).(1)) 32 in
       Printf.printf "window %d: sum = %Ld\n" w (Int64.add hi lo))
-    outcome.Runner.results;
+    outcome.Runner.run.Runtime.results;
 
   (* 4. Throughput and attestation summary. *)
   List.iter

@@ -7,21 +7,24 @@
 
 module B = Sbt_workloads.Benchmarks
 module Runner = Sbt_core.Runner
+module Runtime = Sbt_core.Runtime
+module Session = Sbt_core.Session
 module D = Sbt_core.Dataplane
 
 let () =
   print_endline "== StreamBox-TZ: distinct taxis per 1-second window ==";
   let bench = B.distinct ~windows:4 ~events_per_window:60_000 ~batch_events:10_000 () in
   let outcome =
-    Runner.run ~cores_list:[ 2; 8 ] ~target_delay_ms:bench.B.target_delay_ms bench.B.pipeline
-      (B.frames bench)
+    Session.create (Runtime.Config.make ())
+    |> Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
+    |> Runner.run ~cores_list:[ 2; 8 ] ~target_delay_ms:bench.B.target_delay_ms
   in
   let egress_key = Bytes.of_string "sbt-egress-key16" in
   List.iter
     (fun (w, sealed) ->
       let rows = D.open_result ~egress_key sealed in
       Printf.printf "window %d: %ld distinct taxis\n" w rows.(0).(0))
-    outcome.Runner.results;
+    outcome.Runner.run.Runtime.results;
   List.iter
     (fun p ->
       Printf.printf "%d cores: %.2f M events/s within %.0f ms delay target\n" p.Runner.cores

@@ -109,7 +109,6 @@ module Config = struct
   let with_alloc_mode alloc_mode cfg = { cfg with alloc_mode }
   let with_sort_algorithm sort_algorithm cfg = { cfg with sort_algorithm }
   let with_fault_plan fault_plan cfg = { cfg with fault_plan }
-  let with_tracer tracer cfg = { cfg with tracer = Some tracer }
 
   let with_backpressure ?(adaptive = false) threshold cfg =
     { cfg with backpressure_threshold = threshold; adaptive_backpressure = adaptive }
@@ -265,6 +264,12 @@ type t = {
   m_gaps : Sbt_obs.Metrics.counter;
   m_batch_events : Sbt_obs.Metrics.histogram;
   m_pool : Sbt_obs.Metrics.gauge;
+  (* The platform's world-switch counters at [create]: the platform is
+     shared by every plane built from one config, so [stats] reports the
+     deltas since this plane's boot, not the platform's lifetime totals. *)
+  switch_pairs0 : int;
+  switch_ns0 : float;
+  copy_ns0 : float;
 }
 
 type stats = {
@@ -1343,6 +1348,9 @@ let create cfg =
       m_gaps = Sbt_obs.Metrics.counter reg "tee.gaps_declared";
       m_batch_events = Sbt_obs.Metrics.histogram ~bounds:batch_bounds reg "tee.batch_events";
       m_pool = Sbt_obs.Metrics.gauge reg "tee.pool_committed_bytes";
+      switch_pairs0 = cfg.platform.Tz.Platform.switch_pairs;
+      switch_ns0 = cfg.platform.Tz.Platform.modeled_switch_ns;
+      copy_ns0 = cfg.platform.Tz.Platform.modeled_copy_ns;
     }
   in
   (* The declared late-data policy is part of the attestation surface: any
@@ -1557,9 +1565,9 @@ let stats (t : t) =
     mem_ns = t.mem_ns;
     crypto_ns = t.crypto_ns;
     ingest_ns = t.ingest_ns;
-    switch_pairs = t.cfg.platform.Tz.Platform.switch_pairs;
-    modeled_switch_ns = t.cfg.platform.Tz.Platform.modeled_switch_ns;
-    modeled_copy_ns = t.cfg.platform.Tz.Platform.modeled_copy_ns;
+    switch_pairs = t.cfg.platform.Tz.Platform.switch_pairs - t.switch_pairs0;
+    modeled_switch_ns = t.cfg.platform.Tz.Platform.modeled_switch_ns -. t.switch_ns0;
+    modeled_copy_ns = t.cfg.platform.Tz.Platform.modeled_copy_ns -. t.copy_ns0;
     invocations = t.invocations;
     events_ingested = t.events_ingested;
     bytes_ingested = t.bytes_ingested;

@@ -127,7 +127,6 @@ module Config : sig
   val with_alloc_mode : Sbt_umem.Allocator.mode -> t -> t
   val with_sort_algorithm : Sbt_prim.Sort.algorithm -> t -> t
   val with_fault_plan : Sbt_fault.Fault.plan -> t -> t
-  val with_tracer : Sbt_obs.Tracer.t -> t -> t
 
   val with_backpressure : ?adaptive:bool -> float -> t -> t
   (** [with_backpressure thr] sets the stall threshold; [~adaptive:true]
@@ -337,9 +336,9 @@ type stats = {
   mem_ns : float;  (** measured host time in alloc/retire *)
   crypto_ns : float;  (** measured host time in en/decryption *)
   ingest_ns : float;  (** measured host time unpacking ingress data *)
-  switch_pairs : int;
-  modeled_switch_ns : float;
-  modeled_copy_ns : float;
+  switch_pairs : int;  (** completed world-switch pairs since {!create} *)
+  modeled_switch_ns : float;  (** virtual switch cost since {!create} *)
+  modeled_copy_ns : float;  (** virtual boundary-copy cost since {!create} *)
   invocations : int;
   events_ingested : int;
   bytes_ingested : int;

@@ -11,26 +11,16 @@ type throughput_point = {
 type outcome = {
   version : D.version;
   pipeline_name : string;
+  run : Runtime.run_result;
   points : throughput_point list;
   mem_steady_mb : float;
   mem_high_water_mb : float;
-  total_events : int;
-  dp_stats : D.stats;
   audit_records : int;
   audit_raw_bytes : int;
   audit_compressed_bytes : int;
   verified : bool;
   verifier_report : Sbt_attest.Verifier.report;
-  loss : Runtime.Loss.t;
-  results : (int * D.sealed_result) list;
-  corrections : (int * int * D.sealed_result) list;
   results_corrected : (int * D.sealed_result) list;
-  audit : Sbt_attest.Log.batch list;
-  spec : Sbt_attest.Verifier.spec;
-  registry : Sbt_obs.Metrics.t;
-  tee_metrics : bytes;
-  tee_quote : Sbt_attest.Quote.quote;
-  exec : Sbt_exec.Executor.report option;
 }
 
 let mean = function
@@ -68,42 +58,22 @@ let merge_corrections ~egress_key results corrections =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) (merged @ extra)
 
-let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(version = D.Full)
-    ?(hints_enabled = true) ?(fuse = false)
-    ?(alloc_mode = Sbt_umem.Allocator.Hint_guided)
-    ?(sort_algorithm = Sbt_prim.Sort.Radix) ?(secure_mb = 512) ?(repeats = 1)
-    ?(fault_plan = Sbt_fault.Fault.none) ?(late_policy = D.Silent) ?tracer
-    ?(deterministic = false) ?exec_domains ?exec_time_scale ?exec_mode
-    (pipe : Pipeline.t) frames =
-  let max_cores = List.fold_left max 1 cores_list in
-  (* Deterministic runs zero the host_scale so no measured host time leaks
-     into costs — recordings become byte-reproducible across processes. *)
-  let cost =
-    if not deterministic then None
-    else
-      let base =
-        match version with
-        | D.Insecure -> Sbt_tz.Cost_model.free
-        | D.Full | D.Clear_ingress | D.Io_via_os -> Sbt_tz.Cost_model.default
-      in
-      Some { base with Sbt_tz.Cost_model.host_scale = 0.0 }
+let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(repeats = 1) session =
+  let tn =
+    match Session.tenants session with
+    | [ tn ] -> tn
+    | _ -> invalid_arg "Runner.run: expected a one-tenant session"
   in
-  let cfg =
-    Runtime.Config.make ~version ~cores:max_cores ~secure_mb ?cost ~alloc_mode
-      ~sort_algorithm ~fault_plan ~late_policy ?tracer ~hints_enabled ~fuse ()
-  in
+  let pipe = tn.Multi.pipeline in
+  let dp_config = (Session.config session).Runtime.dp_config in
+  let version = dp_config.D.version in
   let record () =
     (* With repeats > 1 the trace buffer would accumulate every
        recording; keep only the latest (callers wanting a trace use
        repeats = 1, where latest = kept). *)
-    Option.iter Sbt_obs.Tracer.reset tracer;
+    Option.iter Sbt_obs.Tracer.reset dp_config.D.tracer;
     Gc.full_major ();
-    (* Capture heavy-kernel inputs only when a [`Work] measurement will
-       replay them; snapshot copies are pure overhead otherwise. *)
-    let capture = exec_domains <> None && exec_mode = Some `Work in
-    Session.create ~engine:(`Des max_cores) ~capture ~verify:false cfg
-    |> Session.add_tenant ~pipeline:pipe ~source:frames
-    |> Session.run_single
+    Session.record session
   in
   (* Host noise shows up as inflated task costs; repeated recordings keep
      the least-noisy (cheapest) trace. *)
@@ -111,26 +81,20 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(version = D.Ful
   for _ = 2 to repeats do
     let r' = record () in
     if
-      Sbt_sim.Trace.total_cost_ns r'.Control.trace
-      < Sbt_sim.Trace.total_cost_ns !r.Control.trace
+      Sbt_sim.Trace.total_cost_ns r'.Runtime.trace
+      < Sbt_sim.Trace.total_cost_ns !r.Runtime.trace
     then r := r'
   done;
-  let r = !r in
   (* Real-parallel phase: once, on the kept recording, so the wall-clock
      report always corresponds to the trace the outcome carries. *)
-  let exec_report =
-    Option.map
-      (fun domains ->
-        Runtime.exec_trace ?time_scale:exec_time_scale ?mode:exec_mode ~domains cfg r)
-      exec_domains
-  in
-  let egress_key = cfg.Runtime.dp_config.D.egress_key in
+  let r = Session.measure session !r in
+  let egress_key = Sbt_attest.Verifier.tenant_key ~base:dp_config.D.egress_key tn.Multi.id in
   let bytes_per_event = Event.bytes_per_event pipe.Pipeline.schema in
   let points =
     List.map
       (fun cores ->
         let res =
-          Sbt_sim.Rate_search.max_rate ~trace:r.Control.trace ~cores
+          Sbt_sim.Rate_search.max_rate ~trace:r.Runtime.trace ~cores
             ~target_delay_ns:(target_delay_ms *. 1e6)
             ()
         in
@@ -146,47 +110,31 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(version = D.Ful
   in
   (* Cloud-side verification: decode the signed batches and replay. *)
   let records =
-    List.concat_map
-      (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b)
-      r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
-  let report = Sbt_attest.Verifier.verify r.Control.verifier_spec records in
+  let report = Sbt_attest.Verifier.verify r.Runtime.verifier_spec records in
   let verified =
     match version with
     | D.Insecure -> true (* no attestation in the insecure baseline *)
     | D.Full | D.Clear_ingress | D.Io_via_os -> Sbt_attest.Verifier.ok report
   in
-  let audit_records = List.length records in
-  let audit_raw = Sbt_attest.Columnar.raw_size records in
-  let audit_compressed =
-    List.fold_left (fun acc b -> acc + Bytes.length b.Sbt_attest.Log.payload) 0 r.Control.audit
-  in
   {
     version;
     pipeline_name = pipe.Pipeline.name;
+    run = r;
     points;
-    mem_steady_mb = mean r.Control.mem_samples_bytes /. 1e6;
-    mem_high_water_mb = float_of_int r.Control.pool_high_water_bytes /. 1e6;
-    total_events = r.Control.total_events;
-    dp_stats = r.Control.dp_stats;
-    audit_records;
-    audit_raw_bytes = audit_raw;
-    audit_compressed_bytes = audit_compressed;
+    mem_steady_mb = mean r.Runtime.mem_samples_bytes /. 1e6;
+    mem_high_water_mb = float_of_int r.Runtime.pool_high_water_bytes /. 1e6;
+    audit_records = List.length records;
+    audit_raw_bytes = Sbt_attest.Columnar.raw_size records;
+    audit_compressed_bytes =
+      List.fold_left (fun acc b -> acc + Bytes.length b.Sbt_attest.Log.payload) 0 r.Runtime.audit;
     verified;
     verifier_report = report;
-    loss = r.Control.loss;
-    results = List.sort (fun (a, _) (b, _) -> compare a b) r.Control.results;
-    corrections = r.Control.corrections;
     results_corrected =
       merge_corrections ~egress_key
-        (List.sort (fun (a, _) (b, _) -> compare a b) r.Control.results)
-        r.Control.corrections;
-    audit = r.Control.audit;
-    spec = r.Control.verifier_spec;
-    registry = r.Control.registry;
-    tee_metrics = r.Control.tee_metrics;
-    tee_quote = r.Control.tee_quote;
-    exec = exec_report;
+        (List.sort (fun (a, _) (b, _) -> compare a b) r.Runtime.results)
+        r.Runtime.corrections;
   }
 
 let pp_outcome fmt o =

@@ -1,6 +1,6 @@
 (** End-to-end experiment runner.
 
-    Wraps one (pipeline, engine version) pair: executes the workload once
+    A report over a one-tenant {!Session}: executes the workload once
     for real under the DES (recording the task graph, memory behaviour,
     audit records and results), then replays the trace at the requested
     core counts to find the maximum sustainable throughput under the
@@ -17,34 +17,24 @@ type throughput_point = {
 type outcome = {
   version : Dataplane.version;
   pipeline_name : string;
+  run : Runtime.run_result;
+      (** the kept recording: results, corrections, audit, verifier spec,
+          loss, registry, TEE snapshot; [exec] is the real-parallel
+          report, [Some] iff the session's engine is [`Domains _] *)
   points : throughput_point list;
   mem_steady_mb : float;  (** mean committed secure memory at window closes *)
   mem_high_water_mb : float;
-  total_events : int;
-  dp_stats : Dataplane.stats;
   audit_records : int;
   audit_raw_bytes : int;
   audit_compressed_bytes : int;
   verified : bool;  (** cloud verifier replayed the audit log cleanly *)
   verifier_report : Sbt_attest.Verifier.report;
-  loss : Runtime.Loss.t;  (** what graceful degradation dropped and declared *)
-  results : (int * Dataplane.sealed_result) list;  (** sorted by window *)
-  corrections : (int * int * Dataplane.sealed_result) list;
-      (** (window, generation, sealed) correction egress under
-          retract-and-reemit, in emission order; empty otherwise *)
   results_corrected : (int * Dataplane.sealed_result) list;
-      (** the cloud-side merge: [results] with each corrected window
-          replaced by its highest-generation correction re-sealed under
-          the canonical egress nonce ({!Dataplane.reseal_correction}) —
-          byte-comparable against an in-order run's [results] *)
-  audit : Sbt_attest.Log.batch list;  (** the signed upload, oldest first *)
-  spec : Sbt_attest.Verifier.spec;  (** the declaration the verifier used *)
-  registry : Sbt_obs.Metrics.t;  (** control-plane metrics for the kept recording *)
-  tee_metrics : bytes;  (** attested TEE registry snapshot *)
-  tee_quote : Sbt_attest.Quote.quote;
-  exec : Sbt_exec.Executor.report option;
-      (** real-parallel wall-clock report for the kept recording —
-          [Some] iff [exec_domains] was passed *)
+      (** the cloud-side merge: the run's results, sorted by window, with
+          each corrected window replaced by its highest-generation
+          correction re-sealed under the canonical egress nonce
+          ({!Dataplane.reseal_correction}) — byte-comparable against an
+          in-order run's results *)
 }
 
 val merge_corrections :
@@ -59,39 +49,16 @@ val merge_corrections :
     sealed results; output sorted by window. *)
 
 val run :
-  ?cores_list:int list ->
-  ?target_delay_ms:float ->
-  ?version:Dataplane.version ->
-  ?hints_enabled:bool ->
-  ?fuse:bool ->
-  ?alloc_mode:Sbt_umem.Allocator.mode ->
-  ?sort_algorithm:Sbt_prim.Sort.algorithm ->
-  ?secure_mb:int ->
-  ?repeats:int ->
-  ?fault_plan:Sbt_fault.Fault.plan ->
-  ?late_policy:Dataplane.late_policy ->
-  ?tracer:Sbt_obs.Tracer.t ->
-  ?deterministic:bool ->
-  ?exec_domains:int ->
-  ?exec_time_scale:float ->
-  ?exec_mode:Sbt_exec.Executor.mode ->
-  Pipeline.t ->
-  Sbt_net.Frame.t list ->
-  outcome
-(** Defaults: cores [\[2;4;8\]], 500 ms target, [Full] version, hints on,
-    fusion off ([fuse] runs adjacent per-record batch stages as fused
-    super-kernels — fewer world switches, same bytes out), hint-guided
-    allocator, radix sort, 512 MB secure DRAM, one recording run.  [repeats > 1] records several times and keeps the cheapest
-    trace, suppressing host measurement noise.  [tracer] records
-    virtual-time spans for the recording run (use [repeats = 1] so the
-    trace matches the kept recording; the buffer is reset before each
-    repeat and holds the last one).
-
-    [deterministic] zeroes the cost model's host_scale so recorded costs
-    carry no measured host time — results, audit bytes and verdicts
-    become byte-reproducible across processes (and [repeats] is then
-    pointless: every recording is identical).  [exec_domains] runs the
-    real-parallel executor ({!Runtime.exec_trace}) once over the kept
-    recording; [exec_time_scale]/[exec_mode] tune that phase. *)
+  ?cores_list:int list -> ?target_delay_ms:float -> ?repeats:int -> Session.t -> outcome
+(** Report on a one-tenant session.  The session supplies the config,
+    engine and exec options.  Defaults: cores [\[2;4;8\]], 500 ms target,
+    one recording.  [repeats > 1] records several times and keeps the
+    cheapest trace, suppressing host measurement noise (pointless under
+    {!Runtime.deterministic_cost}, where every recording is identical).
+    A tracer in the config holds the last recording's spans (use
+    [repeats = 1] so they match the kept one).  Under a [`Domains n]
+    engine the real-parallel phase ({!Session.measure}) runs once, over
+    the kept recording.  Raises [Invalid_argument] unless exactly one
+    tenant was admitted. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -30,19 +30,19 @@ module Config = struct
     in
     { dp_config; cores; hints_enabled; fuse }
 
-  let with_dp_config dp_config cfg = { cfg with dp_config }
-  let with_cores cores cfg = { cfg with cores }
-  let with_hints hints_enabled cfg = { cfg with hints_enabled }
-  let with_fuse fuse cfg = { cfg with fuse }
-
-  let with_tracer tracer cfg =
-    { cfg with dp_config = D.Config.with_tracer tracer cfg.dp_config }
-
   let with_fault_plan plan cfg =
     { cfg with dp_config = D.Config.with_fault_plan plan cfg.dp_config }
 end
 
-let default_config ?version ?cores () = Config.make ?version ?cores ()
+(* Deterministic runs zero the host_scale so no measured host time leaks
+   into costs — recordings become byte-reproducible across processes. *)
+let deterministic_cost version =
+  let base =
+    match version with
+    | D.Insecure -> Sbt_tz.Cost_model.free
+    | D.Full | D.Clear_ingress | D.Io_via_os -> Sbt_tz.Cost_model.default
+  in
+  { base with Sbt_tz.Cost_model.host_scale = 0.0 }
 
 module Loss = struct
   type t = { gaps_declared : int; batches_dropped : int; events_dropped : int }
@@ -1232,159 +1232,27 @@ let run ?engine ?exec_time_scale ?exec_mode ?capture ?registry cfg pipe frames =
       in
       { r with exec = Some report }
 
-(* --- supervised restart ----------------------------------------------------
-
-   The normal-world supervisor around a checkpointed run: it owns the
-   durable stores (sealed checkpoints, uploaded audit batches, sealed
-   results, the source's replay buffer) and the restart policy.  On a
-   crash it derives the newest attested checkpoint sequence from the
-   signed audit stream — so a rolled-back blob cannot pose as the latest
-   — unseals, rebuilds a fresh data plane, trims durable state back to
-   the checkpoint's cut, re-ingests the replay suffix, and stamps each
-   boot with a sealed epoch manifest for the multi-epoch verifier. *)
-
-type supervised = {
-  sv_results : (int * D.sealed_result) list;  (* stitched, ascending window *)
-  sv_audit : Sbt_attest.Log.batch list;  (* stitched, oldest first *)
-  sv_epochs : (Sbt_attest.Epoch.sealed * Sbt_attest.Log.batch list) list;
-  sv_report : Sbt_attest.Verifier.report;
-  sv_crash_sites : Sbt_fault.Fault.site list;
-  sv_epoch_count : int;
-  sv_replayed_frames : int;
-  sv_checkpoints : int;
-  sv_checkpoint_bytes : int;
-  sv_last_run : run_result option;  (* the completing boot's full result *)
-}
-
-let run_supervised ?(max_restarts = 3) ?(ckpt_every = 1) cfg pipe frames =
-  let key = cfg.dp_config.D.egress_key in
-  let store = Sbt_recovery.Store.create () in
-  let replay = Sbt_net.Replay.create frames in
-  let ckpts = ref 0 and ckpt_bytes = ref 0 in
-  let replayed = ref 0 in
-  let crash_sites = ref [] in
-  let epochs = ref [] in (* (manifest, that boot's batches), newest first *)
-  let durable_uploads = ref [] in (* stitched normal-world storage, oldest first *)
-  let durable_results = ref [] in
-  let on_checkpoint ~blob ~seq ~frame_idx =
-    Sbt_recovery.Store.put store ~seq blob;
-    incr ckpts;
-    ckpt_bytes := !ckpt_bytes + Bytes.length blob;
-    Sbt_net.Replay.ack replay ~upto:frame_idx
-  in
-  let rec boot ~epoch ~resume ~frame_offset ~resumed_from ~resume_batch_seq cfgb suffix =
-    let manifest = { Sbt_attest.Epoch.epoch; resumed_from; resume_batch_seq } in
-    match
-      record ~recording_cores:cfgb.cores ~ckpt_every ~on_checkpoint ?resume ~frame_offset
-        cfgb pipe suffix
-    with
-    | r ->
-        epochs := (manifest, r.audit) :: !epochs;
-        durable_uploads := !durable_uploads @ r.audit;
-        durable_results := !durable_results @ r.results;
-        Some r
-    | exception Crashed { site; uploads; results } ->
-        crash_sites := site :: !crash_sites;
-        epochs := (manifest, uploads) :: !epochs;
-        durable_uploads := !durable_uploads @ uploads;
-        durable_results := !durable_results @ results;
-        if epoch >= max_restarts then
-          raise (Crashed { site; uploads = !durable_uploads; results = !durable_results })
-        else begin
-          (* The newest checkpoint the durable (signed) audit stream
-             attests: the floor below which a presented blob is a
-             rollback. *)
-          let attested_ckpt =
-            List.fold_left
-              (fun acc b ->
-                List.fold_left
-                  (fun acc r ->
-                    match r with
-                    | Sbt_attest.Record.Checkpoint { seq; _ } -> max acc seq
-                    | _ -> acc)
-                  acc
-                  (Sbt_attest.Log.open_batch ~key b))
-              (-1) !durable_uploads
-          in
-          let cfgb =
-            Config.with_fault_plan
-              (Sbt_fault.Fault.without_crash cfgb.dp_config.D.fault_plan)
-              cfgb
-          in
-          match Sbt_recovery.Store.latest store with
-          | None ->
-              (* Crashed before any checkpoint: nothing was acked, the
-                 source still holds every frame — restart from scratch,
-                 and the fresh boot regenerates everything durable. *)
-              durable_uploads := [];
-              durable_results := [];
-              let suffix = Sbt_net.Replay.suffix replay ~from:0 in
-              replayed := !replayed + List.length suffix;
-              boot ~epoch:(epoch + 1) ~resume:None ~frame_offset:0 ~resumed_from:(-1)
-                ~resume_batch_seq:0 cfgb suffix
-          | Some (_, blob) ->
-              let restored =
-                D.restore cfgb.dp_config ~expect_seq:(max attested_ckpt 0) blob
-              in
-              let ctl = decode_control restored.D.control in
-              (* Trim durable state back to the checkpoint's cut: batches
-                 and windows past it are regenerated by the resumed boot,
-                 byte for byte. *)
-              durable_uploads :=
-                List.filter
-                  (fun b -> b.Sbt_attest.Log.seq < restored.D.log_seq)
-                  !durable_uploads;
-              durable_results :=
-                List.filter (fun (w, _) -> w < ctl.ck_next_window_to_close) !durable_results;
-              let suffix = Sbt_net.Replay.suffix replay ~from:ctl.ck_frame_idx in
-              replayed := !replayed + List.length suffix;
-              boot ~epoch:(epoch + 1)
-                ~resume:(Some (restored.D.rt, ctl))
-                ~frame_offset:ctl.ck_frame_idx ~resumed_from:restored.D.ckpt_seq
-                ~resume_batch_seq:restored.D.log_seq cfgb suffix
-        end
-  in
-  let last =
-    boot ~epoch:0 ~resume:None ~frame_offset:0 ~resumed_from:(-1) ~resume_batch_seq:0 cfg
-      frames
-  in
-  let sealed_epochs =
-    List.rev_map (fun (m, batches) -> (Sbt_attest.Epoch.seal ~key m, batches)) !epochs
-  in
-  let report =
-    Sbt_attest.Verifier.verify_epochs ~key (Pipeline.verifier_spec pipe) sealed_epochs
-  in
-  {
-    sv_results = List.sort (fun (a, _) (b, _) -> compare a b) !durable_results;
-    sv_audit = !durable_uploads;
-    sv_epochs = sealed_epochs;
-    sv_report = report;
-    sv_crash_sites = List.rev !crash_sites;
-    sv_epoch_count = List.length !epochs;
-    sv_replayed_frames = !replayed;
-    sv_checkpoints = !ckpts;
-    sv_checkpoint_bytes = !ckpt_bytes;
-    sv_last_run = last;
-  }
-
 (* --- resumable partition node ----------------------------------------------
 
-   The fleet-facing decomposition of [run_supervised]: one [Node.t] per
-   key partition owns the partition's durable normal-world state (sealed
-   checkpoint store, source replay buffer, uploaded audit batches,
-   sealed results) and runs it one boot epoch at a time.  A boot either
-   completes the stream or halts at a scheduled checkpoint boundary (the
-   fleet's kill/fence point); the next [boot] — issued by whichever edge
-   owns the partition after a handoff — resumes from the newest durable
-   checkpoint exactly as the supervisor's crash path does, so donor +
-   recipient stitched output is byte-identical to an uninterrupted run
-   with the same [ckpt_every]. *)
+   The one place a run resumes from a checkpoint.  A [Node.t] owns one
+   stream's durable normal-world state (sealed checkpoint store, source
+   replay buffer, uploaded audit batches, sealed results) and runs it one
+   boot epoch at a time.  A boot completes the stream, halts at a
+   scheduled checkpoint boundary (the fleet's kill/fence point), or
+   crashes (an injected {!Sbt_fault.Fault.plan} crash).  The next boot
+   derives the newest attested checkpoint sequence from the signed audit
+   stream — so a rolled-back blob cannot pose as the latest — unseals,
+   rebuilds a fresh data plane, trims durable state back to the
+   checkpoint's cut, re-ingests the replay suffix, and stamps the boot
+   with a sealed epoch manifest for the multi-epoch verifier.  Stitched
+   output is byte-identical to an uninterrupted run with the same
+   [ckpt_every]. *)
 
 module Node = struct
   type outcome = Completed | Halted of { at_window : int }
 
   type t = {
-    n_cfg : config;
+    mutable n_cfg : config; (* crash disarmed after the first crash *)
     n_pipe : Pipeline.t;
     n_ckpt_every : int;
     n_store : Sbt_recovery.Store.t;
@@ -1393,9 +1261,8 @@ module Node = struct
         (* newest first *)
     mutable n_uploads : Sbt_attest.Log.batch list; (* stitched, oldest first *)
     mutable n_results : (int * D.sealed_result) list; (* stitched, ascending *)
-    mutable n_finished : bool;
+    mutable n_last_run : run_result option; (* the completing boot's result *)
     mutable n_vt_ns : float;
-    mutable n_total_events : int;
     mutable n_replayed : int;
     mutable n_ckpts : int;
     mutable n_ckpt_bytes : int;
@@ -1411,25 +1278,25 @@ module Node = struct
       n_epochs = [];
       n_uploads = [];
       n_results = [];
-      n_finished = false;
+      n_last_run = None;
       n_vt_ns = 0.0;
-      n_total_events = 0;
       n_replayed = 0;
       n_ckpts = 0;
       n_ckpt_bytes = 0;
     }
 
   let key t = t.n_cfg.dp_config.D.egress_key
+  let finished t = t.n_last_run <> None
 
   let boot ?registry ?halt_after_window t =
-    if t.n_finished then Completed
+    if finished t then Completed
     else begin
       let epoch = List.length t.n_epochs in
       let resume, frame_offset, resumed_from, resume_batch_seq =
         if epoch = 0 then (None, 0, -1, 0)
         else begin
           (* Rollback floor: the newest checkpoint the signed audit
-             stream attests (same derivation as [run_supervised]). *)
+             stream attests. *)
           let attested_ckpt =
             List.fold_left
               (fun acc b ->
@@ -1454,6 +1321,8 @@ module Node = struct
                 D.restore t.n_cfg.dp_config ~expect_seq:(max attested_ckpt 0) blob
               in
               let ctl = decode_control restored.D.control in
+              (* Batches and windows past the checkpoint's cut are
+                 regenerated by the resumed boot, byte for byte. *)
               t.n_uploads <-
                 List.filter
                   (fun b -> b.Sbt_attest.Log.seq < restored.D.log_seq)
@@ -1475,27 +1344,36 @@ module Node = struct
         t.n_ckpt_bytes <- t.n_ckpt_bytes + Bytes.length blob;
         Sbt_net.Replay.ack t.n_replay ~upto:frame_idx
       in
+      let keep_durable uploads results =
+        t.n_epochs <- (manifest, uploads) :: t.n_epochs;
+        t.n_uploads <- t.n_uploads @ uploads;
+        t.n_results <- t.n_results @ results
+      in
       match
         record ~recording_cores:t.n_cfg.cores ~ckpt_every:t.n_ckpt_every ~on_checkpoint
           ?resume ~frame_offset ?registry ?halt_after_window t.n_cfg t.n_pipe suffix
       with
       | r ->
-          t.n_epochs <- (manifest, r.audit) :: t.n_epochs;
-          t.n_uploads <- t.n_uploads @ r.audit;
-          t.n_results <- t.n_results @ r.results;
-          t.n_finished <- true;
+          keep_durable r.audit r.results;
+          t.n_last_run <- Some r;
           t.n_vt_ns <- Float.max t.n_vt_ns r.makespan_ns;
-          t.n_total_events <- r.total_events;
           Completed
       | exception Halted_at { uploads; results; vt_ns; _ } ->
-          t.n_epochs <- (manifest, uploads) :: t.n_epochs;
-          t.n_uploads <- t.n_uploads @ uploads;
-          t.n_results <- t.n_results @ results;
+          keep_durable uploads results;
           t.n_vt_ns <- Float.max t.n_vt_ns vt_ns;
           Halted { at_window = Option.value ~default:0 halt_after_window }
+      | exception (Crashed { uploads; results; _ } as crash) ->
+          (* What the normal world held durably survives the crash; the
+             crash is disarmed so the next boot resumes instead of
+             crashing at the same point again. *)
+          keep_durable uploads results;
+          t.n_cfg <-
+            Config.with_fault_plan
+              (Sbt_fault.Fault.without_crash t.n_cfg.dp_config.D.fault_plan)
+              t.n_cfg;
+          raise crash
     end
 
-  let finished t = t.n_finished
   let epoch_count t = List.length t.n_epochs
   let results t = List.sort (fun (a, _) (b, _) -> compare a b) t.n_results
   let audit t = t.n_uploads
@@ -1508,12 +1386,52 @@ module Node = struct
   let manifests t = List.rev_map fst t.n_epochs
   let acked_frames t = Sbt_net.Replay.acked t.n_replay
 
-  let last_ckpt_seq t =
-    match Sbt_recovery.Store.latest t.n_store with Some (seq, _) -> seq | None -> -1
-
   let vt_ns t = t.n_vt_ns
-  let total_events t = t.n_total_events
   let replayed_frames t = t.n_replayed
   let checkpoints t = t.n_ckpts
   let checkpoint_bytes t = t.n_ckpt_bytes
 end
+
+(* --- supervised restart ----------------------------------------------------
+
+   The normal-world supervisor: a restart loop over [Node.boot] that owns
+   only the restart policy. *)
+
+type supervised = {
+  sv_results : (int * D.sealed_result) list;  (* stitched, ascending window *)
+  sv_audit : Sbt_attest.Log.batch list;  (* stitched, oldest first *)
+  sv_epochs : (Sbt_attest.Epoch.sealed * Sbt_attest.Log.batch list) list;
+  sv_report : Sbt_attest.Verifier.report;
+  sv_crash_sites : Sbt_fault.Fault.site list;
+  sv_epoch_count : int;
+  sv_replayed_frames : int;
+  sv_checkpoints : int;
+  sv_checkpoint_bytes : int;
+  sv_last_run : run_result option;  (* the completing boot's full result *)
+}
+
+let run_supervised ?(max_restarts = 3) ?(ckpt_every = 1) cfg pipe frames =
+  let node = Node.create ~ckpt_every cfg pipe frames in
+  let rec supervise crashes =
+    match Node.boot node with
+    | Node.Completed | Node.Halted _ -> List.rev crashes
+    | exception Crashed { site; _ } when List.length crashes >= max_restarts ->
+        raise (Crashed { site; uploads = Node.audit node; results = Node.results node })
+    | exception Crashed { site; _ } -> supervise (site :: crashes)
+  in
+  let crash_sites = supervise [] in
+  let epochs = Node.epochs node in
+  {
+    sv_results = Node.results node;
+    sv_audit = Node.audit node;
+    sv_epochs = epochs;
+    sv_report =
+      Sbt_attest.Verifier.verify_epochs ~key:(Node.key node) (Pipeline.verifier_spec pipe)
+        epochs;
+    sv_crash_sites = crash_sites;
+    sv_epoch_count = Node.epoch_count node;
+    sv_replayed_frames = Node.replayed_frames node;
+    sv_checkpoints = Node.checkpoints node;
+    sv_checkpoint_bytes = Node.checkpoint_bytes node;
+    sv_last_run = node.Node.n_last_run;
+  }

@@ -67,17 +67,14 @@ module Config : sig
       {!Dataplane.Config.make}'s defaults for the data plane.  [cores]
       sizes both the recording DES and the data-plane platform. *)
 
-  val with_dp_config : Dataplane.config -> t -> t
-  val with_cores : int -> t -> t
-  val with_hints : bool -> t -> t
-  val with_fuse : bool -> t -> t
-  val with_tracer : Sbt_obs.Tracer.t -> t -> t
   val with_fault_plan : Sbt_fault.Fault.plan -> t -> t
 end
 
-val default_config : ?version:Dataplane.version -> ?cores:int -> unit -> config
-(** [Config.make] with only the historical labels — kept so existing
-    call sites read unchanged. *)
+val deterministic_cost : Dataplane.version -> Sbt_tz.Cost_model.t
+(** The version's default cost model ({!Sbt_tz.Cost_model.free} for
+    [Insecure], [default] otherwise) with [host_scale = 0]: recorded
+    costs carry no measured host time, so results, audit bytes and
+    verdicts are byte-reproducible across runs and processes. *)
 
 (** Loss accounting for one run: what graceful degradation dropped, and
     declared.  Every drop is covered by a signed Gap record, so
@@ -159,7 +156,7 @@ val run :
 
     New code should prefer the {!Session} builder ([Session.create cfg
     |> add_tenant ... |> run]) — this function is the engine underneath
-    it, kept public for the 1-tenant wrappers.
+    it, kept public as the reference a 1-tenant session must match.
 
     [registry] supplies the control-plane metrics registry (possibly a
     {!Sbt_obs.Metrics.scoped} view, e.g. a tenant's [tenantN.*] scope);
@@ -232,18 +229,21 @@ type supervised = {
   sv_last_run : run_result option;  (** the completing boot's full result *)
 }
 
-(** A resumable per-partition node — the fleet-facing decomposition of
-    {!run_supervised}.  A [Node.t] owns one key partition's durable
-    normal-world state (sealed checkpoint store, source replay buffer,
-    stitched audit batches and sealed results) and advances it one boot
-    epoch at a time: [boot] either completes the partition's stream or
-    halts at the first checkpoint boundary past [halt_after_window] (the
-    fleet's kill/fence point — the checkpoint is durable, in-TEE state is
-    lost, exactly the [Crash_reboot] cut).  A later [boot] — issued by
-    whichever edge owns the partition after a handoff — resumes from the
-    newest durable checkpoint with the same rollback-floor validation as
-    the supervisor, so the stitched donor+recipient output is
-    byte-identical to an uninterrupted run with the same [ckpt_every]. *)
+(** A resumable node: the one place a run resumes from a checkpoint.
+    A [Node.t] owns one stream's durable normal-world state (sealed
+    checkpoint store, source replay buffer, stitched audit batches and
+    sealed results) and advances it one boot epoch at a time.  [boot]
+    completes the stream, halts at the first checkpoint boundary past
+    [halt_after_window] (the fleet's kill/fence point — the checkpoint is
+    durable, in-TEE state is lost, exactly the [Crash_reboot] cut), or
+    re-raises an injected {!Crashed} after keeping its durable payload.
+    A later [boot] — after a crash, or issued by whichever edge owns the
+    partition after a handoff — resumes from the newest durable
+    checkpoint, rejecting tampered blobs ({!Sbt_recovery.Seal.Tamper}) and
+    blobs older than the newest checkpoint attested in the signed audit
+    stream ({!Sbt_recovery.Seal.Rollback}), so the stitched output is
+    byte-identical to an uninterrupted run with the same [ckpt_every].
+    {!run_supervised} is a restart loop over [boot]. *)
 module Node : sig
   type t
 
@@ -262,7 +262,9 @@ module Node : sig
       {!Sbt_obs.Metrics.scoped} view named after the executing edge)
       receives the boot's control-plane counters; omitted, each boot gets
       a private registry.  On an already-[finished] node this is a no-op
-      returning [Completed]. *)
+      returning [Completed].  An injected crash keeps the boot's durable
+      uploads and results, disarms the crash
+      ({!Sbt_fault.Fault.without_crash}) and re-raises {!Crashed}. *)
 
   val finished : t -> bool
   val epoch_count : t -> int  (** boots so far *)
@@ -285,14 +287,8 @@ module Node : sig
   (** Source-replay cursor: frames acknowledged by durable checkpoints —
       the resume cursor a handoff manifest records. *)
 
-  val last_ckpt_seq : t -> int
-  (** Newest durable checkpoint seq; -1 if none. *)
-
   val vt_ns : t -> float
   (** Accumulated virtual time across boots. *)
-
-  val total_events : t -> int
-  (** Populated once [finished]. *)
 
   val replayed_frames : t -> int
   val checkpoints : t -> int
@@ -306,16 +302,14 @@ val run_supervised :
   Pipeline.t ->
   Sbt_net.Frame.t list ->
   supervised
-(** Run under a normal-world supervisor with sealed TEE checkpoints
-    every [ckpt_every] closed windows (default 1) and source-side frame
-    replay.  (New code should prefer {!Session.run_supervised}, which
-    generalizes this to N tenants.)  On an injected crash the supervisor unseals the latest
-    checkpoint — rejecting tampered blobs ({!Sbt_recovery.Seal.Tamper})
-    and blobs older than the newest checkpoint attested in the signed
-    audit stream ({!Sbt_recovery.Seal.Rollback}) — rebuilds the data
-    plane, re-ingests the unacknowledged frame suffix, and continues;
-    up to [max_restarts] (default 3) times, re-raising {!Crashed}
-    beyond that.  Stateful cross-window pipelines (operator state held
-    in plan closures, e.g. [power_grid]) are not checkpointable — their
+(** Run under a normal-world supervisor: a restart loop over
+    {!Node.boot} with sealed TEE checkpoints every [ckpt_every] closed
+    windows (default 1) and source-side frame replay.  (New code should
+    prefer {!Session.run_supervised}, which generalizes this to N
+    tenants.)  Each injected crash restarts from the latest valid
+    checkpoint, up to [max_restarts] (default 3) times; beyond that
+    {!Crashed} escapes carrying the stitched durable uploads and
+    results.  Stateful cross-window pipelines (operator state held in
+    plan closures, e.g. [power_grid]) are not checkpointable — their
     state lives outside the TEE snapshot; use stateless-per-window
     pipelines with recovery. *)

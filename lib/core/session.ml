@@ -1,15 +1,13 @@
-(* The unified Session API (PR 8): one builder in front of every way to
-   run a pipeline.
+(* The Session API: one builder in front of every way to run a pipeline.
 
-   Historically the entry points accreted one per feature — Control.run
-   (one pipeline, DES), Runtime.run (engine choice), Runtime.run_supervised
-   (crash recovery), Runner.run (rate search + ?fuse), Fleet.run
-   (multi-node) — each with its own argument spelling.  A Session is the
-   common prefix of all of them: a run configuration plus the set of
-   tenant pipelines admitted into the enclave.  Single-tenant is the
-   1-tenant special case (tenant 0 inherits the base egress key, so a
-   1-tenant Session run is byte-identical to the old Runtime.run), and
-   the old functions survive as thin wrappers over a Session. *)
+   A Session is a run configuration plus the set of tenant pipelines
+   admitted into the enclave.  Single-tenant is the 1-tenant special case
+   (tenant 0 inherits the base egress key, so a 1-tenant [run_single] is
+   byte-identical to [Runtime.run], the engine underneath).  Every run
+   starts here: [run] (N tenants, one enclave), [run_single] (one
+   recording), [run_supervised] (crash recovery over [Runtime.Node]),
+   [Runner.run] (a throughput report over a session) and
+   [Fleet.run_session] (one tenant partitioned over M edges). *)
 
 type t = {
   cfg : Runtime.config;
@@ -46,10 +44,10 @@ let the_tenant t =
   | [] -> invalid_arg "Session: no tenant admitted"
   | _ -> invalid_arg "Session: expected exactly one tenant"
 
-(* The single-tenant fast path the legacy wrappers ride: one recording,
-   no merged-schedule replay, no verification — exactly what the old
-   entry points did, so their cost and observables are unchanged. *)
-let run_single t =
+(* The single-tenant fast path: one recording, no merged-schedule
+   replay, no verification.  A [`Domains n] engine records under the DES
+   at the config's cores — the recording its measurement phase replays. *)
+let record t =
   let tn = the_tenant t in
   let owners : (int64, int) Hashtbl.t = Hashtbl.create 64 in
   let tcfg = Multi.tenant_config t.cfg ~owners tn in
@@ -58,8 +56,22 @@ let run_single t =
     | Some root -> Some (Sbt_obs.Metrics.scoped root (Printf.sprintf "tenant%d" tn.Multi.id))
     | None -> None
   in
-  Runtime.run ?engine:t.engine ?exec_time_scale:t.exec_time_scale ?exec_mode:t.exec_mode
+  let engine =
+    match t.engine with Some (`Domains _) -> Some (`Des t.cfg.Runtime.cores) | e -> e
+  in
+  Runtime.run ?engine ?exec_time_scale:t.exec_time_scale ?exec_mode:t.exec_mode
     ?capture:t.capture ?registry tcfg tn.Multi.pipeline tn.Multi.source
+
+let measure t (r : Runtime.run_result) =
+  match t.engine with
+  | Some (`Domains domains) ->
+      let report =
+        Runtime.exec_trace ?time_scale:t.exec_time_scale ?mode:t.exec_mode ~domains t.cfg r
+      in
+      { r with Runtime.exec = Some report }
+  | Some (`Des _) | None -> r
+
+let run_single t = measure t (record t)
 
 (* Crash recovery composes per tenant: each tenant's supervised run is
    already independent (own sealed checkpoints, own replay buffer, own

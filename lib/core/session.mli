@@ -1,4 +1,4 @@
-(** The unified Session API: one builder in front of every way to run.
+(** The Session API: one builder in front of every way to run.
 
     A Session is a run configuration plus the tenant pipelines admitted
     into the enclave:
@@ -12,10 +12,10 @@
 
     Single-tenant is the 1-tenant special case — tenant 0 inherits the
     base egress key and an uncapped pool, so a 1-tenant {!run_single} is
-    byte-identical to the historical [Runtime.run].  The legacy entry
-    points ([Control.run], [Runtime.run], [Runtime.run_supervised],
-    [Runner.run], [Fleet.run]) survive as thin wrappers and should not
-    be used in new code. *)
+    byte-identical to {!Runtime.run}, the engine underneath.  The other
+    entry points take a session too: {!Runner.run} reports throughput
+    over a 1-tenant session, and [Sbt_fleet.Fleet.run_session]
+    partitions one across M edges. *)
 
 type t
 
@@ -53,9 +53,19 @@ val run : t -> Multi.result
 
 val run_single : t -> Runtime.run_result
 (** The single-tenant fast path: one recording, no merged-schedule
-    replay, no verification — the historical [Runtime.run] semantics,
-    byte-identical observables included.  Raises [Invalid_argument]
-    unless exactly one tenant was admitted. *)
+    replay, no verification — {!Runtime.run} semantics, byte-identical
+    observables included.  Raises [Invalid_argument] unless exactly one
+    tenant was admitted. *)
+
+val record : t -> Runtime.run_result
+(** {!run_single} without the real-parallel phase: a [`Domains n]
+    session records under [`Des cfg.cores]. *)
+
+val measure : t -> Runtime.run_result -> Runtime.run_result
+(** The session's real-parallel phase over a recording: under
+    [`Domains n] it sets [exec] from {!Runtime.exec_trace} with the
+    session's exec options; the identity under [`Des].
+    [run_single t = measure t (record t)]. *)
 
 val run_supervised :
   ?max_restarts:int -> ?ckpt_every:int -> t -> (int * Runtime.supervised) list

@@ -314,10 +314,3 @@ let run_session ?registry ?ckpt_every ?rogue_handoff ?plan ~scenario ~nodes ~bat
         (Sbt_core.Session.config session)
         t.Sbt_core.Multi.pipeline t.Sbt_core.Multi.source
   | _ -> invalid_arg "Fleet.run_session: a fleet partitions exactly one tenant pipeline"
-
-(* Deprecated wrapper over [run_session]. *)
-let run ?registry ?ckpt_every ?rogue_handoff ?plan ~scenario ~nodes ~batch_events cfg pipe
-    frames =
-  run_session ?registry ?ckpt_every ?rogue_handoff ?plan ~scenario ~nodes ~batch_events
-    (Sbt_core.Session.create cfg
-    |> Sbt_core.Session.add_tenant ~pipeline:pipe ~source:frames)

@@ -1,7 +1,7 @@
 (** Edge fleet under churn: partitioned multi-node ingestion, consistent
     key-range failover, and fleet-scope verification.
 
-    [run] drives M simulated edge nodes — each its own engine + TEE
+    [run_session] drives M simulated edge nodes — each its own engine + TEE
     instance ({!Sbt_core.Runtime.Node}) with its own durable store and
     source-replay buffer — over one workload key-partitioned M ways
     ({!Partition}), then merges per-edge egress cloud-side in canonical
@@ -83,31 +83,13 @@ val run_session :
   batch_events:int ->
   Sbt_core.Session.t ->
   summary
-(** The {!Sbt_core.Session}-facing entry: partition the session's single
-    tenant pipeline across [nodes] edges and run the churn scenario.
-    Raises [Invalid_argument] unless the session admitted exactly one
-    tenant (a fleet partitions one workload; multi-tenant enclaves
-    compose per node via {!Sbt_core.Multi} instead). *)
-
-val run :
-  ?registry:Sbt_obs.Metrics.t ->
-  ?ckpt_every:int ->
-  ?rogue_handoff:bool ->
-  ?plan:Sbt_fault.Fault.plan ->
-  scenario:Sbt_fault.Fault.fleet_scenario ->
-  nodes:int ->
-  batch_events:int ->
-  Sbt_core.Runtime.config ->
-  Sbt_core.Pipeline.t ->
-  Sbt_net.Frame.t list ->
-  summary
-(** Deprecated wrapper: builds a 1-tenant session and calls
-    {!run_session}.  Run the fleet over a cleartext workload frame
-    stream (see
+(** Run the fleet over a 1-tenant session's cleartext workload frame
+    stream: partition the tenant's pipeline across [nodes] edges (see
     {!Partition.split} for partitioning rules; [batch_events] is the
-    workload's batch size).  [ckpt_every] defaults to 1 so every beat is
-    a consistent kill point.  [plan] supplies the reconnect backoff for
-    uplink partitions (default {!Sbt_fault.Fault.none}).
+    workload's batch size) and run the churn scenario.  [ckpt_every]
+    defaults to 1 so every beat is a consistent kill point.  [plan]
+    supplies the reconnect backoff for uplink partitions (default
+    {!Sbt_fault.Fault.none}).
 
     [rogue_handoff] simulates an adversarial failover: the survivor
     re-runs the dead edge's partition from scratch and discards the
@@ -117,5 +99,7 @@ val run :
     duplicates — it is an attack demonstration, not a recovery mode.
 
     Raises {!No_survivor} when a death finds no eligible adopter, and
-    [Invalid_argument] on an empty fleet, a workload closing no
-    windows, or a scenario naming a node outside the fleet. *)
+    [Invalid_argument] unless the session admitted exactly one tenant (a
+    fleet partitions one workload; multi-tenant enclaves compose per
+    node via {!Sbt_core.Multi} instead), on an empty fleet, a workload
+    closing no windows, or a scenario naming a node outside the fleet. *)

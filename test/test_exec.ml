@@ -11,7 +11,6 @@ module Pool = Sbt_umem.Page_pool
 module Log = Sbt_attest.Log
 module Record = Sbt_attest.Record
 module Runtime = Sbt_core.Runtime
-module Control = Sbt_core.Control
 module Metrics = Sbt_obs.Metrics
 module B = Sbt_workloads.Benchmarks
 module Fault = Sbt_fault.Fault

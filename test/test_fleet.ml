@@ -17,9 +17,7 @@ module Partition = Sbt_fleet.Partition
 module Fleet = Sbt_fleet.Fleet
 module M = Sbt_obs.Metrics
 
-let det_cfg () =
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  Runtime.Config.make ~cores:4 ~cost ()
+let det_cfg () = Runtime.Config.make ~cores:4 ~cost:(Runtime.deterministic_cost D.Full) ()
 
 (* --- failure detector ------------------------------------------------------- *)
 
@@ -133,11 +131,13 @@ let test_partition_assign_total_on_negative_keys () =
 
 (* --- fleet runs ------------------------------------------------------------- *)
 
+let fleet ?rogue_handoff ~scenario ~nodes cfg (bench : B.t) =
+  Sbt_core.Session.create cfg
+  |> Sbt_core.Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
+  |> Fleet.run_session ?rogue_handoff ~scenario ~nodes ~batch_events:200
+
 let fleet_run ?(m = 3) ?(windows = 4) ?rogue_handoff ~scenario () =
-  let bench = small_bench ~windows () in
-  let frames = B.frames bench in
-  Fleet.run ?rogue_handoff ~scenario ~nodes:m ~batch_events:200 (det_cfg ())
-    bench.B.pipeline frames
+  fleet ?rogue_handoff ~scenario ~nodes:m (det_cfg ()) (small_bench ~windows ())
 
 let merged_obs (s : Fleet.summary) =
   List.map
@@ -241,10 +241,7 @@ let test_dropped_partition_is_flagged () =
      Undeclared_loss at fleet scope. *)
   let bench = small_bench () in
   let cfg = det_cfg () in
-  let s =
-    Fleet.run ~scenario:(Fault.fleet_none ~suspect_after:2) ~nodes:3 ~batch_events:200 cfg
-      bench.B.pipeline (B.frames bench)
-  in
+  let s = fleet ~scenario:(Fault.fleet_none ~suspect_after:2) ~nodes:3 cfg bench in
   let spec = Sbt_core.Pipeline.verifier_spec bench.B.pipeline in
   let key = cfg.Runtime.dp_config.D.egress_key in
   let edges =
@@ -272,9 +269,7 @@ let test_omitted_handoff_manifest_is_flagged () =
   in
   let bench = small_bench () in
   let cfg = det_cfg () in
-  let s =
-    Fleet.run ~scenario ~nodes:3 ~batch_events:200 cfg bench.B.pipeline (B.frames bench)
-  in
+  let s = fleet ~scenario ~nodes:3 cfg bench in
   Alcotest.(check bool) "with manifest: accepted" true (V.fleet_ok s.Fleet.report);
   let spec = Sbt_core.Pipeline.verifier_spec bench.B.pipeline in
   let key = cfg.Runtime.dp_config.D.egress_key in

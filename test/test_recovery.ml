@@ -187,13 +187,38 @@ let test_reboot_after_checkpoint_recovers () =
   Alcotest.(check bool) "verifier accepts" true (V.ok crashed.Runtime.sv_report)
 
 let test_restart_budget_exhausted () =
+  (* The escaping payload is the durable state the supervisor stitched:
+     prefixes of the clean run's audit and results, never more. *)
   let bench = B.win_sum ~windows:2 ~events_per_window:300 ~batch_events:150 () in
-  let plan = Fault.with_crash Fault.none ~site:Fault.Crash_control ~after_tasks:3 in
-  let cfg = det_cfg ~fault_plan:plan () in
-  match Runtime.run_supervised ~max_restarts:0 ~ckpt_every:1 cfg bench.B.pipeline (B.frames bench) with
-  | _ -> Alcotest.fail "expected Crashed to escape with max_restarts = 0"
-  | exception Runtime.Crashed { site; _ } ->
-      Alcotest.(check string) "crash site" "crash-control" (Fault.site_name site)
+  let frames = B.frames bench in
+  let clean = Runtime.run_supervised ~ckpt_every:1 (det_cfg ()) bench.B.pipeline frames in
+  let rec is_prefix p l =
+    match (p, l) with
+    | [], _ -> true
+    | x :: p', y :: l' -> x = y && is_prefix p' l'
+    | _ :: _, [] -> false
+  in
+  let crash_after after =
+    let plan = Fault.with_crash Fault.none ~site:Fault.Crash_control ~after_tasks:after in
+    let cfg = det_cfg ~fault_plan:plan () in
+    match Runtime.run_supervised ~max_restarts:0 ~ckpt_every:1 cfg bench.B.pipeline frames with
+    | _ -> Alcotest.fail "expected Crashed to escape with max_restarts = 0"
+    | exception Runtime.Crashed { site; uploads; results } ->
+        Alcotest.(check string) "crash site" "crash-control" (Fault.site_name site);
+        Alcotest.(check bool) "uploads prefix the clean audit" true
+          (is_prefix uploads clean.Runtime.sv_audit);
+        Alcotest.(check bool) "results prefix the clean results" true
+          (is_prefix results clean.Runtime.sv_results);
+        results
+  in
+  ignore (crash_after 3);
+  let tasks =
+    match clean.Runtime.sv_last_run with
+    | Some r -> r.Runtime.tasks_executed
+    | None -> Alcotest.fail "clean run kept no result"
+  in
+  Alcotest.(check bool) "a late crash already egressed a window" true
+    (crash_after (tasks - 1) <> [])
 
 (* --- the normal-world checkpoint store -------------------------------------- *)
 

@@ -33,8 +33,19 @@ let mk_tenant ?quota_pages ?(windows = 2) ?(events_per_window = 2_000) ?(batch =
   in
   { Multi.id; pipeline = b.B.pipeline; source = B.frames b; quota_pages }
 
+(* The world-switch counters the tenant's data plane reports (and the
+   registry's [smc.switches] derived from them): per recording, never
+   the shared platform's running totals. *)
+let switch_counters (r : Runtime.run_result) =
+  let s = r.Runtime.dp_stats in
+  ( s.D.switch_pairs,
+    s.D.modeled_switch_ns,
+    s.D.modeled_copy_ns,
+    M.find_counter r.Runtime.registry "smc.switches" )
+
 let tenant_observables (tr : Multi.tenant_result) =
-  (tr.Multi.tr_run.Runtime.results, tr.Multi.tr_run.Runtime.audit)
+  let r = tr.Multi.tr_run in
+  (r.Runtime.results, r.Runtime.audit, switch_counters r)
 
 (* --- joint-equals-solo ------------------------------------------------------ *)
 
@@ -84,6 +95,30 @@ let test_single_tenant_session_matches_runtime_run () =
     (direct.Runtime.audit = via_session.Runtime.audit);
   Alcotest.(check int)
     "same event count" direct.Runtime.total_events via_session.Runtime.total_events
+
+let test_session_rerun_same_stats () =
+  let b =
+    match B.by_name "winsum" with
+    | Some mk -> mk ~windows:2 ~events_per_window:2_000 ~batch_events:500 ~encrypted:true ()
+    | None -> Alcotest.fail "winsum missing"
+  in
+  let session =
+    Session.create (det_cfg ()) |> Session.add_tenant ~pipeline:b.B.pipeline ~source:(B.frames b)
+  in
+  let first = Session.run_single session in
+  let second = Session.run_single session in
+  let counters = Alcotest.(pair int (pair (float 0.0) (pair (float 0.0) int))) in
+  let flat r =
+    let a, b, c, d = switch_counters r in
+    (a, (b, (c, d)))
+  in
+  Alcotest.(check bool) "some world switches" true (first.Runtime.dp_stats.D.switch_pairs > 0);
+  Alcotest.check counters "second run: same switch counters" (flat first) (flat second);
+  Alcotest.(check int) "same invocations" first.Runtime.dp_stats.D.invocations
+    second.Runtime.dp_stats.D.invocations;
+  (* Runner's repeated recordings share the session's platform too. *)
+  let kept repeats = (Sbt_core.Runner.run ~cores_list:[ 4 ] ~repeats session).Sbt_core.Runner.run in
+  Alcotest.check counters "repeats 3 = repeats 1" (flat (kept 1)) (flat (kept 3))
 
 (* --- quota isolation -------------------------------------------------------- *)
 
@@ -286,5 +321,7 @@ let () =
             test_single_tenant_session_matches_runtime_run;
           Alcotest.test_case "builder ids and validation" `Quick
             test_session_assigns_ids_and_validates;
+          Alcotest.test_case "same session run twice gives equal dp_stats" `Quick
+            test_session_rerun_same_stats;
         ] );
     ]
