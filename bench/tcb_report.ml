@@ -74,7 +74,7 @@ let components =
   ]
 
 (* The data-plane side of lib/core (dataplane.ml/.mli, opaque.ml/.mli,
-   event.ml/.mli) is TCB; the control plane (control, pipeline, runner)
+   event.ml/.mli) is TCB; the control plane (runtime, pipeline, runner)
    is not.  Counted separately for the headline number. *)
 let dataplane_core_files =
   [
@@ -86,11 +86,8 @@ let dataplane_core_files =
 (* The verifier is cloud-side, not TCB. *)
 let verifier_files = [ "lib/attest/verifier.ml"; "lib/attest/verifier.mli" ]
 
-(* The slab allocator (PR 9) is broken out of "Memory management" as an
-   informational sub-row — it is already counted in the lib/umem total;
-   the paper's TCB argument leans on the memory manager staying small. *)
-let slab_allocator_files =
-  [ "lib/umem/slab.ml"; "lib/umem/slab.mli"; "lib/umem/page_pool.ml"; "lib/umem/page_pool.mli" ]
+let sloc_of_files files =
+  List.fold_left (fun acc f -> acc + if Sys.file_exists f then sloc_of_file f else 0) 0 files
 
 let print () =
   if not (Sys.file_exists "lib") then
@@ -106,15 +103,12 @@ let print () =
         else untrusted_total := !untrusted_total + sloc;
         Printf.printf "  %-30s %10d  %s\n" c.name sloc (if c.trusted then "yes" else "no"))
       components;
-    let dp_core = List.fold_left (fun acc f -> acc + (if Sys.file_exists f then sloc_of_file f else 0)) 0 dataplane_core_files in
-    let verifier = List.fold_left (fun acc f -> acc + (if Sys.file_exists f then sloc_of_file f else 0)) 0 verifier_files in
+    let dp_core = sloc_of_files dataplane_core_files in
+    let verifier = sloc_of_files verifier_files in
     trusted_total := !trusted_total + dp_core - verifier;
     untrusted_total := !untrusted_total - dp_core + verifier;
     Printf.printf "  %-30s %10d  yes (dataplane/opaque/event)\n" "Data plane (lib/core subset)" dp_core;
     Printf.printf "  %-30s %10d  no (cloud-side)\n" "Verifier (moved out of TCB)" verifier;
-    let slab_alloc = List.fold_left (fun acc f -> acc + (if Sys.file_exists f then sloc_of_file f else 0)) 0 slab_allocator_files in
-    Printf.printf "  %-30s %10d  yes (within Memory management: slab + page pool)\n"
-      "Secure allocator (subset)" slab_alloc;
     Printf.printf "  %-30s %10d\n" "TCB total" !trusted_total;
     Printf.printf "  %-30s %10d\n" "untrusted total" !untrusted_total;
     Printf.printf "  TCB fraction of engine source: %.0f%%  (paper: data plane = 5K of 12.4K new SLoC)\n"

@@ -201,9 +201,10 @@ let run name version windows events_per_window batch cores_list target_ms hints 
    [ckpt_every] closed windows, source-side frame replay, and — with
    --crash-at N — a deterministic injected crash after N executed tasks.
    With --recover the supervisor restarts from the latest sealed
-   checkpoint and the multi-epoch verifier must accept the stitched log;
-   without it the crash is fatal (exit 3), which is what the CI smoke
-   uses to prove the crash actually fired. *)
+   checkpoint and the multi-epoch verifier must accept the stitched log.
+   Without it, or once crashes exceed --max-restarts, the crash is fatal
+   (exit 3), which is what the CI smoke uses to prove the crash actually
+   fired. *)
 let recovery name version windows events_per_window batch ckpt_every max_restarts crash_at
     crash_site recover deterministic verbose audit_out results_out =
   let module V = Sbt_attest.Verifier in
@@ -216,6 +217,12 @@ let recovery name version windows events_per_window batch ckpt_every max_restart
   let cfg = make ~fault_plan () in
   let frames = B.frames bench in
   let spec = Sbt_core.Pipeline.verifier_spec bench.B.pipeline in
+  let fatal_crash site ~uploads ~results ~hint =
+    Printf.printf
+      "crashed at %s: %d audit batches and %d sealed results durable, in-TEE state lost (%s)\n"
+      (Fault.site_name site) (List.length uploads) (List.length results) hint;
+    exit 3
+  in
   if not recover then (
     (* Crash armed but no supervisor: the run dies where the crash
        fires, keeping only what the normal world already held. *)
@@ -225,13 +232,15 @@ let recovery name version windows events_per_window batch ckpt_every max_restart
           (List.length outcome.Runtime.results);
         if crash_at <> None then exit 3
     | exception Runtime.Crashed { site; uploads; results } ->
-        Printf.printf
-          "crashed at %s: %d audit batches and %d sealed results durable, in-TEE state lost \
-           (re-run with --recover)\n"
-          (Fault.site_name site) (List.length uploads) (List.length results);
-        exit 3)
+        fatal_crash site ~uploads ~results ~hint:"re-run with --recover")
   else begin
-    let s = Runtime.run_supervised ~max_restarts ~ckpt_every cfg bench.B.pipeline frames in
+    (* A crash past the restart budget is as fatal as an unsupervised one. *)
+    let s =
+      try Runtime.run_supervised ~max_restarts ~ckpt_every cfg bench.B.pipeline frames
+      with Runtime.Crashed { site; uploads; results } ->
+        fatal_crash site ~uploads ~results
+          ~hint:(Printf.sprintf "restart budget of %d exhausted" max_restarts)
+    in
     Printf.printf
       "recovery: %d epoch(s), %d crash(es)%s | %d checkpoint(s), %d sealed B | %d frame(s) \
        replayed\n"
@@ -588,22 +597,6 @@ let fuse_arg =
            one world switch and one composite audit record per chain instead of one \
            per stage.  Sealed results, verifier verdicts and loss are byte-identical \
            to $(b,off); compare switch counts with --verbose")
-
-let slab_arg =
-  let slab_conv =
-    Arg.conv
-      (fuse_of_string, fun fmt b -> Format.pp_print_string fmt (if b then "on" else "off"))
-      ~docv:"on|off"
-  in
-  Arg.(
-    value & opt slab_conv true
-    & info [ "slab" ]
-        ~doc:
-          "Secure-memory slab allocator: $(b,on) (default) routes small-object \
-           scratch — egress staging, per-chunk kernel scratch, per-piece partial \
-           tables — through size-class bitmap slab arenas; $(b,off) falls back to \
-           page-granular pool commits.  Sealed results, audit records and verifier \
-           verdicts are byte-identical either way (the CI cmp smoke)")
 
 let verbose_arg = Arg.(value & flag & info [ "verbose" ] ~doc:"Print data-plane statistics")
 
@@ -964,13 +957,12 @@ let undeclared_late_arg =
            silent policy although the run handled late data — the verifier must flag \
            Undeclared_late_handling (exit 2)")
 
-let dispatch name version windows epw batch cores_list target_ms hints fuse slab verbose
+let dispatch name version windows epw batch cores_list target_ms hints fuse verbose
     frames_in audit_out trace_out exec_domains exec_mode deterministic exec_time_scale
     results_out resil fault_rates fault_seed ckpt_every max_restarts crash_at crash_site recover
     fleet_m partition_by kills uplinks stragglers suspect_after recover_after rogue
     omit_manifests tenants_n tenant_quotas tenant_mix solo_tenant disorder late_policy
     session_gap undeclared_late =
-  Sbt_umem.Slab.set_enabled slab;
   let disorder_active =
     disorder > 0.0 || late_policy <> D.Silent || session_gap <> None || undeclared_late
   in
@@ -1034,7 +1026,7 @@ let cmd =
     (Cmd.info "sbt_run" ~doc)
     Term.(
       const dispatch $ name_arg $ version_arg $ windows_arg $ epw_arg $ batch_arg $ cores_arg
-      $ target_arg $ hints_arg $ fuse_arg $ slab_arg $ verbose_arg $ frames_arg $ audit_arg
+      $ target_arg $ hints_arg $ fuse_arg $ verbose_arg $ frames_arg $ audit_arg
       $ trace_arg
       $ exec_arg $ exec_mode_arg $ deterministic_arg $ exec_time_scale_arg $ results_out_arg
       $ resilience_arg $ fault_rates_arg $ fault_seed_arg $ ckpt_every_arg $ max_restarts_arg

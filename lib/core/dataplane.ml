@@ -1,7 +1,6 @@
 module U = Sbt_umem.Uarray
 module Alloc = Sbt_umem.Allocator
 module Pool = Sbt_umem.Page_pool
-module Slab = Sbt_umem.Slab
 module P = Sbt_prim.Primitive
 module Tz = Sbt_tz
 
@@ -216,12 +215,6 @@ type capture = {
 type t = {
   cfg : config;
   pool : Pool.t;
-  (* Small-object staging arena for egress payload marshalling.  It sits
-     over its own tiny private pool, never the data-plane pool above:
-     shed/backpressure decisions key off [Pool.committed_bytes pool], so
-     staging scratch must not perturb them — that is what keeps sealed
-     outputs byte-identical with the slab on or off. *)
-  staging : Slab.t;
   alloc : Alloc.t;
   refs : Opaque.t;
   log : Sbt_attest.Log.t;
@@ -978,31 +971,9 @@ let seal_out t ~input ~window ~nonce ~mk_record =
         let cells = events * width in
         let payload = Bytes.create (cells * 4) in
         let buf = U.raw ua in
-        let marshal (src : U.buf) =
-          for i = 0 to cells - 1 do
-            Bytes.set_int32_le payload (4 * i) (Bigarray.Array1.get src i)
-          done
-        in
-        (* Small results stage through a slab slot of the matching size
-           class instead of conjuring page-granular scratch; the slot is
-           freed the moment the copy-out completes.  The staged cells are
-           the same int32s, serialized by the same loop, so the sealed
-           bytes are identical either way. *)
-        let staged =
-          Slab.enabled () && Slab.fits (cells * 4) &&
-          match Slab.alloc t.staging ~bytes:(cells * 4) with
-          | ptr ->
-              Fun.protect
-                ~finally:(fun () -> Slab.free t.staging ptr)
-                (fun () ->
-                  let stage = Slab.view t.staging ptr in
-                  Bigarray.Array1.blit (Bigarray.Array1.sub buf 0 cells)
-                    (Bigarray.Array1.sub stage 0 cells);
-                  marshal stage);
-              true
-          | exception Pool.Out_of_secure_memory _ -> false
-        in
-        if not staged then marshal buf;
+        for i = 0 to cells - 1 do
+          Bytes.set_int32_le payload (4 * i) (Bigarray.Array1.get buf i)
+        done;
         match t.cfg.version with
         | Insecure -> payload
         | Full | Clear_ingress | Io_via_os ->
@@ -1312,7 +1283,6 @@ let create cfg =
     {
       cfg;
       pool;
-      staging = Slab.over_pool (Pool.create ~budget_bytes:(1024 * 1024));
       alloc;
       refs = Opaque.create ~rng;
       log = Sbt_attest.Log.create ~key:cfg.egress_key ~flush_every:cfg.audit_flush_every;
@@ -1585,10 +1555,6 @@ let set_now_ns t ns = t.now_ns <- ns
 let now_ns t = t.now_ns
 
 let metrics_quote t ~nonce =
-  (* Fold the staging arena's umem.* metrics in just before the snapshot
-     is sealed; [Slab.publish] pushes deltas, so repeated quotes never
-     double-count. *)
-  Slab.publish t.staging t.reg;
   let payload = Sbt_obs.Metrics.encode_snapshot t.reg in
   let measurement = Sbt_crypto.Sha256.digest payload in
   (payload, Sbt_attest.Quote.issue ~device_key:t.cfg.egress_key measurement ~nonce)

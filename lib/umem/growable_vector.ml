@@ -1,106 +1,53 @@
-type backing =
-  | Host  (* initial capacity only: nothing committed yet *)
-  | Pages of int  (* page-granular commitment, in pages *)
-  | Slot of Slab.ptr  (* slab slot of the matching size class *)
-
 type t = {
   pool : Page_pool.t;
-  slab : Slab.t option;
   width : int;
   mutable buf : Uarray.buf;
   mutable len : int;
   mutable cap : int;
-  mutable backing : backing;
+  mutable committed : int;
   mutable relocations : int;
 }
 
 let initial_capacity = 16
 
-let create ?slab ~pool ~width () =
+let create ~pool ~width () =
   if width <= 0 then invalid_arg "Growable_vector.create: width must be positive";
   let buf = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (initial_capacity * width) in
-  { pool; slab; width; buf; len = 0; cap = initial_capacity; backing = Host; relocations = 0 }
+  { pool; width; buf; len = 0; cap = initial_capacity; committed = 0; relocations = 0 }
 
 let length t = t.len
 let capacity t = t.cap
 let relocations t = t.relocations
 
-let committed_pages t = match t.backing with Pages p -> p | Host | Slot _ -> 0
-
-let release_backing t =
-  match t.backing with
-  | Host -> ()
-  | Pages p ->
-      Page_pool.release t.pool ~pages:p;
-      t.backing <- Host
-  | Slot ptr ->
-      (match t.slab with Some a -> Slab.free a ptr | None -> assert false);
-      t.backing <- Host
-
 (* Doubling growth: allocate a fresh region, copy everything over, release
-   the old backing — the relocation cost uArray avoids.  During the copy
-   both regions are committed, which is also how a real vector behaves.
-
-   With a slab arena attached, small vectors grow slot-to-slot through the
-   size classes instead of page-doubling: the new capacity is whatever the
-   matching class holds, and the old slot (or pages) is freed eagerly the
-   moment the copy completes — no 4 KB page pinned under a 64-byte vector,
-   no stale backing parked until window close. *)
+   the old pages — the relocation cost uArray avoids.  During the copy both
+   regions are committed, which is also how a real vector behaves. *)
 let grow_capacity t needed =
-  let live = t.len * t.width in
-  let blit_into (new_buf : Uarray.buf) =
-    if live > 0 then
-      Bigarray.Array1.blit (Bigarray.Array1.sub t.buf 0 live) (Bigarray.Array1.sub new_buf 0 live)
-  in
-  let slab_grow a =
-    let want_bytes = needed * t.width * 4 in
-    if Slab.fits want_bytes then begin
-      let ptr = Slab.alloc a ~bytes:want_bytes in
-      let slot = Slab.view a ptr in
-      blit_into slot;
-      release_backing t;
-      t.buf <- slot;
-      t.cap <- Bigarray.Array1.dim slot / t.width;
-      t.backing <- Slot ptr;
-      true
-    end
-    else false
-  in
-  let grown = match t.slab with Some a -> slab_grow a | None -> false in
-  if not grown then begin
-    let new_cap = ref (max t.cap 1) in
-    while !new_cap < needed do
-      new_cap := !new_cap * 2
-    done;
-    let new_pages = Page_pool.pages_for_bytes (!new_cap * t.width * 4) in
-    Page_pool.commit t.pool ~pages:new_pages;
-    let new_buf = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (!new_cap * t.width) in
-    blit_into new_buf;
-    release_backing t;
-    t.buf <- new_buf;
-    t.cap <- !new_cap;
-    t.backing <- Pages new_pages
-  end;
+  let new_cap = ref (max t.cap 1) in
+  while !new_cap < needed do
+    new_cap := !new_cap * 2
+  done;
+  let new_pages = Page_pool.pages_for_bytes (!new_cap * t.width * 4) in
+  Page_pool.commit t.pool ~pages:new_pages;
+  let new_buf = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (!new_cap * t.width) in
+  Bigarray.Array1.blit
+    (Bigarray.Array1.sub t.buf 0 (t.len * t.width))
+    (Bigarray.Array1.sub new_buf 0 (t.len * t.width));
+  Page_pool.release t.pool ~pages:t.committed;
+  t.buf <- new_buf;
+  t.cap <- !new_cap;
+  t.committed <- new_pages;
   t.relocations <- t.relocations + 1
 
 let ensure t needed =
   if needed > t.cap then grow_capacity t needed
-  else
-    match t.backing with
-    | Slot _ -> () (* the whole slot is committed at alloc time *)
-    | Host | Pages _ ->
-        if Option.is_some t.slab && t.backing = Host && needed > 0 then
-          (* Slab-backed vectors adopt a slot as soon as they hold data,
-             so even the never-grown case is slot-accounted. *)
-          grow_capacity t (max needed 1)
-        else begin
-          let pages = Page_pool.pages_for_bytes (needed * t.width * 4) in
-          let committed = committed_pages t in
-          if pages > committed then begin
-            Page_pool.commit t.pool ~pages:(pages - committed);
-            t.backing <- Pages pages
-          end
-        end
+  else begin
+    let pages = Page_pool.pages_for_bytes (needed * t.width * 4) in
+    if pages > t.committed then begin
+      Page_pool.commit t.pool ~pages:(pages - t.committed);
+      t.committed <- pages
+    end
+  end
 
 let reserve t n =
   if n < 0 then invalid_arg "Growable_vector.reserve: negative count";
@@ -137,5 +84,6 @@ let set_field t r f v =
 let raw t = t.buf
 
 let free t =
-  release_backing t;
+  Page_pool.release t.pool ~pages:t.committed;
+  t.committed <- 0;
   t.len <- 0

@@ -3,17 +3,11 @@
     The baseline uArray is compared against in Figure 11: it grows
     transparently but by doubling into a freshly allocated region and
     copying, where a uArray grows in place.  Page accounting mirrors
-    uArray's so the two are also comparable on memory.
-
-    With a {!Slab} arena attached ([?slab]), small vectors grow through
-    the slab size classes instead of page-doubling — a 64-byte vector
-    accounts 64 bytes, not a pinned 4 KB page — and the old backing
-    (slot or pages) is released eagerly as soon as the growth copy
-    completes, rather than parking until window close. *)
+    uArray's so the two are also comparable on memory. *)
 
 type t
 
-val create : ?slab:Slab.t -> pool:Page_pool.t -> width:int -> unit -> t
+val create : pool:Page_pool.t -> width:int -> unit -> t
 (** Starts with a small capacity (16 records), like a freshly constructed
     vector. *)
 

@@ -51,7 +51,7 @@ let reset_high_water t = t.high_water <- t.committed
 
    The chunk size adapts: it starts at [base_refill] and doubles on every
    dry run (capped at [max_refill_factor] times the base), so a shard
-   under sustained allocation pressure — a slab arena refilling page
+   under sustained allocation pressure — chunk scratch committed page
    after page — amortizes the parent lock over ever-larger grants instead
    of inheriting the fixed-chunk contention PR 3 documented.  Both drain
    paths return slack eagerly: [shard_release] caps idle quota against

@@ -188,6 +188,25 @@ let prop_engine_equivalence =
       && des.Runtime.exec = None
       && (match d4.Runtime.exec with Some e -> e.Executor.domains = 4 | None -> false))
 
+(* Two domains split kernels into chunks at a width the property above
+   never uses: sealed results, audit batches and the verdict must still
+   match the [`Des] reference byte for byte. *)
+let prop_two_domain_work_equivalence =
+  QCheck.Test.make ~name:"`Des vs two-domain Work: byte-identical sealed outputs and verdict"
+    ~count:4
+    QCheck.(pair (int_range 1 2) (int_range 500 2_000))
+    (fun (windows, events_per_window) ->
+      let run ?exec_mode engine =
+        let bench = B.win_sum ~windows ~events_per_window ~batch_events:500 () in
+        Runtime.run ~engine ?exec_mode ~exec_time_scale:0.0 (det_cfg ()) bench.B.pipeline
+          (B.frames bench)
+      in
+      let sealed (r : Runtime.run_result) =
+        let results, audit, _ = observables r in
+        (results, audit, verdict r)
+      in
+      sealed (run (`Des 4)) = sealed (run ~exec_mode:`Work (`Domains 2)))
+
 (* --- exec metrics ------------------------------------------------------------ *)
 
 let test_exec_metrics_registered () =
@@ -334,7 +353,7 @@ let () =
           Alcotest.test_case "runs the graph" `Quick test_executor_runs_graph;
           Alcotest.test_case "rejects bad args" `Quick test_executor_rejects_bad_args;
         ] );
-      ("engine-equivalence", [ q prop_engine_equivalence ]);
+      ("engine-equivalence", [ q prop_engine_equivalence; q prop_two_domain_work_equivalence ]);
       ("metrics", [ Alcotest.test_case "exec.* counters" `Quick test_exec_metrics_registered ]);
       ( "work-mode",
         [

@@ -254,6 +254,31 @@ let test_empty_inputs () =
     "segment counts of empty" []
     (PK.count_per_window ~pieces:4 ~src ~ts_field:0 ~window_size:10 ())
 
+(* A piece whose window range fits [PK.dense_window_cap] counts into a
+   flat array, a wider one into a hash table: one input of each must
+   match the serial counts, as one piece and split into three. *)
+let test_segment_dense_and_sparse () =
+  let p = pool () in
+  let cap = PK.dense_window_cap in
+  List.iter
+    (fun (name, hi, dense) ->
+      let src = random_ua p ~lo:0 ~hi ~width:2 ~n:1_000 17 in
+      let serial = Segment.count_per_window ~src ~ts_field:0 ~window_size:2 ~slide:1 () in
+      let wins = List.map fst serial in
+      let span = List.fold_left max min_int wins - List.fold_left min max_int wins + 1 in
+      Alcotest.(check bool) (name ^ ": window span vs cap") dense (span <= cap);
+      List.iter
+        (fun pieces ->
+          let par =
+            PK.count_per_window ~runner:(PK.domains ~n:2) ~pieces ~src ~ts_field:0
+              ~window_size:2 ~slide:1 ()
+          in
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%s, %d piece(s)" name pieces)
+            serial par)
+        [ 1; 3 ])
+    [ ("dense", cap / 2, true); ("sparse", 8 * cap, false) ]
+
 let test_all_equal_keys () =
   (* Every key equal: the merge is pure tie-breaking, so any ordering bug
      is visible in the payload fields. *)
@@ -319,6 +344,8 @@ let () =
           Alcotest.test_case "ranges cover" `Quick test_ranges;
           Alcotest.test_case "empty inputs" `Quick test_empty_inputs;
           Alcotest.test_case "all-equal keys" `Quick test_all_equal_keys;
+          Alcotest.test_case "segment dense and sparse windows" `Quick
+            test_segment_dense_and_sparse;
           Alcotest.test_case "n < domains" `Quick test_fewer_records_than_domains;
           Alcotest.test_case "primitive lookup tables" `Quick test_primitive_lookup_tables;
         ] );
