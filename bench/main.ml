@@ -272,6 +272,17 @@ let fig7_wall () =
   Printf.printf "  (real kernels: speedup here is bounded by the host's physical cores)\n";
   Printf.printf "  wrote %s\n" (Bench_json.path ~section:"fig7_wall" ())
 
+(* Host wall time of the fastest of three runs of [f], in ns (at least 1). *)
+let best_of_3_ns f =
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let t0 = Clock.now_ns () in
+    f ();
+    let dt = Clock.elapsed_ns ~since:t0 in
+    if dt < !best then best := dt
+  done;
+  Float.max 1.0 !best
+
 (* ------------------------------------------------------------------ *)
 (* Kernels: per-primitive rows/s, serial vs real domains.  Raw kernels
    over preallocated buffers, so the numbers are the kernels alone —
@@ -308,22 +319,12 @@ let kernels () =
   let by_key_sl = PK.slice_of_uarray by_key in
   let scratch cells = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max 1 cells) in
   let dst = scratch (n * w) in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Clock.now_ns () in
-      f ();
-      let dt = Clock.elapsed_ns ~since:t0 in
-      if dt < !best then best := dt
-    done;
-    Float.max 1.0 !best
-  in
   let variants = [ ("serial", PK.serial); ("domains:2", PK.domains ~n:2); ("domains:4", PK.domains ~n:4) ] in
   let measure prim kernel =
     Printf.printf "  %-12s" prim;
     List.iter
       (fun (vname, runner) ->
-        let ns = time (fun () -> kernel runner) in
+        let ns = best_of_3_ns (fun () -> kernel runner) in
         let rows_s = float_of_int n /. (ns /. 1e9) in
         ignore
           (Bench_json.append ~section:"kernels"
@@ -354,6 +355,35 @@ let kernels () =
         ());
   Printf.printf "  (parallel rows bounded by the host's physical cores)\n";
   Printf.printf "  wrote %s\n" (Bench_json.path ~section:"kernels" ())
+
+(* ------------------------------------------------------------------ *)
+(* Crypto: the kernels behind ingress decryption (AES-CTR), the frame MAC
+   and egress seal (HMAC-SHA256), over one 4 MB buffer at every scale.
+   Cost_model.crypto_scale is derived from the AES-CTR row.  MB = 1e6 B. *)
+
+let crypto () =
+  section "[crypto] AES-CTR, SHA-256, HMAC-SHA256 MB/s (4 MB buffer, best of 3)";
+  let n = 4 * 1024 * 1024 in
+  let buf = Sbt_crypto.Rng.bytes (Sbt_crypto.Rng.create ~seed:13L) n in
+  let key = Bytes.of_string "0123456789abcdef" in
+  let ctr = Sbt_crypto.Ctr.create ~key ~nonce:1L in
+  let row kernel f =
+    let ns = best_of_3_ns f in
+    let mb_s = float_of_int n /. 1e6 /. (ns /. 1e9) in
+    ignore
+      (Bench_json.append ~section:"crypto"
+         [
+           ("kernel", J.Str kernel);
+           ("bytes", J.num_of_int n);
+           ("ns", J.Num ns);
+           ("mb_per_sec", J.Num mb_s);
+         ]);
+    Printf.printf "  %-12s %8.1f MB/s\n" kernel mb_s
+  in
+  row "aes_ctr" (fun () -> Sbt_crypto.Ctr.xcrypt ctr ~pos:0L buf 0 n);
+  row "sha256" (fun () -> ignore (Sbt_crypto.Sha256.digest buf));
+  row "hmac_sha256" (fun () -> ignore (Sbt_crypto.Hmac.mac ~key buf));
+  Printf.printf "  wrote %s\n" (Bench_json.path ~section:"crypto" ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: vs commodity insecure engines on WinSum                     *)
@@ -1288,6 +1318,7 @@ let sections =
     ("fig7", fig7);
     ("fig7_wall", fig7_wall);
     ("kernels", kernels);
+    ("crypto", crypto);
     ("fig8", fig8);
     ("fig9", fig9);
     ("fig10", fig10);

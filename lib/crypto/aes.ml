@@ -66,7 +66,10 @@ let expand_key raw =
   done;
   { rk = w }
 
-(* State is kept as 16 ints in column-major order (s.(4*c+r)). *)
+(* The inverse cipher stays textbook (FIPS-197 §5.3): nothing in the engine
+   decrypts blocks, and an independent inverse is what the roundtrip
+   property checks the table-driven encryptor against.  Its state is 16
+   ints in column-major order (s.(4*c+r)). *)
 
 let add_round_key st rk round =
   for c = 0 to 3 do
@@ -77,17 +80,7 @@ let add_round_key st rk round =
     st.((4 * c) + 3) <- st.((4 * c) + 3) lxor (w land 0xFF)
   done
 
-let sub_bytes st = for i = 0 to 15 do st.(i) <- sbox.(st.(i)) done
 let inv_sub_bytes st = for i = 0 to 15 do st.(i) <- inv_sbox.(st.(i)) done
-
-let shift_rows st =
-  (* Row r rotates left by r; indices are 4*c+r. *)
-  let t = st.(1) in
-  st.(1) <- st.(5); st.(5) <- st.(9); st.(9) <- st.(13); st.(13) <- t;
-  let a = st.(2) and b = st.(6) in
-  st.(2) <- st.(10); st.(6) <- st.(14); st.(10) <- a; st.(14) <- b;
-  let t = st.(15) in
-  st.(15) <- st.(11); st.(11) <- st.(7); st.(7) <- st.(3); st.(3) <- t
 
 let inv_shift_rows st =
   let t = st.(13) in
@@ -96,16 +89,6 @@ let inv_shift_rows st =
   st.(2) <- st.(10); st.(6) <- st.(14); st.(10) <- a; st.(14) <- b;
   let t = st.(3) in
   st.(3) <- st.(7); st.(7) <- st.(11); st.(11) <- st.(15); st.(15) <- t
-
-let mix_columns st =
-  for c = 0 to 3 do
-    let i = 4 * c in
-    let a0 = st.(i) and a1 = st.(i + 1) and a2 = st.(i + 2) and a3 = st.(i + 3) in
-    st.(i) <- xtime a0 lxor (xtime a1 lxor a1) lxor a2 lxor a3;
-    st.(i + 1) <- a0 lxor xtime a1 lxor (xtime a2 lxor a2) lxor a3;
-    st.(i + 2) <- a0 lxor a1 lxor xtime a2 lxor (xtime a3 lxor a3);
-    st.(i + 3) <- (xtime a0 lxor a0) lxor a1 lxor a2 lxor xtime a3
-  done
 
 let inv_mix_columns st =
   for c = 0 to 3 do
@@ -123,20 +106,58 @@ let load st src soff =
 let store st dst doff =
   for i = 0 to 15 do Bytes.set dst (doff + i) (Char.unsafe_chr st.(i)) done
 
+(* Encryption T-tables (FIPS-197 §5.2, the 32-bit implementation): one
+   round's SubBytes+ShiftRows+MixColumns+AddRoundKey on a column is four
+   table lookups XORed with the round-key word.  [te0.(x)] is the column [02·S(x), S(x), S(x), 03·S(x)]
+   as a big-endian word; [te1..te3] are its byte rotations, so each state
+   byte indexes the table for its row.  Built from [sbox] and [xtime]
+   like everything else here; 4 KB together. *)
+
+let te0 =
+  Array.map
+    (fun s -> (xtime s lsl 24) lor (s lsl 16) lor (s lsl 8) lor (xtime s lxor s))
+    sbox
+
+let ror8 x = ((x lsr 8) lor (x lsl 24)) land 0xFFFFFFFF
+let te1 = Array.map ror8 te0
+let te2 = Array.map ror8 te1
+let te3 = Array.map ror8 te2
+
+(* Table indices are masked to a byte, so the lookups cannot leave the
+   256-entry tables. *)
+let[@inline] t0 x = Array.unsafe_get te0 ((x lsr 24) land 0xFF)
+let[@inline] t1 x = Array.unsafe_get te1 ((x lsr 16) land 0xFF)
+let[@inline] t2 x = Array.unsafe_get te2 ((x lsr 8) land 0xFF)
+let[@inline] t3 x = Array.unsafe_get te3 (x land 0xFF)
+let[@inline] sb x shift = Array.unsafe_get sbox ((x lsr shift) land 0xFF) lsl shift
+
+(* Final round, column [c]: SubBytes+ShiftRows without MixColumns. *)
+let[@inline] final rk c a0 a1 a2 a3 =
+  sb a0 24 lor sb a1 16 lor sb a2 8 lor sb a3 0 lxor rk.(40 + c)
+
+let[@inline] get_word b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
+let[@inline] set_word b off x = Bytes.set_int32_be b off (Int32.of_int x)
+
+(* The state is four native-int columns; nothing is allocated per block. *)
 let encrypt_block key src soff dst doff =
-  let st = Array.make 16 0 in
-  load st src soff;
-  add_round_key st key.rk 0;
+  let rk = key.rk in
+  let s0 = ref (get_word src soff lxor rk.(0)) in
+  let s1 = ref (get_word src (soff + 4) lxor rk.(1)) in
+  let s2 = ref (get_word src (soff + 8) lxor rk.(2)) in
+  let s3 = ref (get_word src (soff + 12) lxor rk.(3)) in
   for round = 1 to 9 do
-    sub_bytes st;
-    shift_rows st;
-    mix_columns st;
-    add_round_key st key.rk round
+    let k = 4 * round in
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 := t0 a0 lxor t1 a1 lxor t2 a2 lxor t3 a3 lxor Array.unsafe_get rk k;
+    s1 := t0 a1 lxor t1 a2 lxor t2 a3 lxor t3 a0 lxor Array.unsafe_get rk (k + 1);
+    s2 := t0 a2 lxor t1 a3 lxor t2 a0 lxor t3 a1 lxor Array.unsafe_get rk (k + 2);
+    s3 := t0 a3 lxor t1 a0 lxor t2 a1 lxor t3 a2 lxor Array.unsafe_get rk (k + 3)
   done;
-  sub_bytes st;
-  shift_rows st;
-  add_round_key st key.rk 10;
-  store st dst doff
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+  set_word dst doff (final rk 0 a0 a1 a2 a3);
+  set_word dst (doff + 4) (final rk 1 a1 a2 a3 a0);
+  set_word dst (doff + 8) (final rk 2 a2 a3 a0 a1);
+  set_word dst (doff + 12) (final rk 3 a3 a0 a1 a2)
 
 let decrypt_block key src soff dst doff =
   let st = Array.make 16 0 in

@@ -4,7 +4,9 @@
     checks on uploaded audit-record batches. *)
 
 type ctx
-(** Incremental hashing context. *)
+(** Incremental hashing context.  All state, including the message
+    schedule, lives in the context, so domains may hash concurrently on
+    separate contexts. *)
 
 val init : unit -> ctx
 val update : ctx -> bytes -> int -> int -> unit

@@ -1,5 +1,5 @@
 (* Tests for the from-scratch crypto substrate: AES-128 against FIPS-197
-   vectors, SHA-256 against FIPS 180-4 vectors, HMAC against RFC 4231,
+   and SP 800-38A vectors, SHA-256 against FIPS 180-4 vectors, HMAC against RFC 4231,
    CTR-mode algebraic properties, and PRNG behaviour. *)
 
 module Aes = Sbt_crypto.Aes
@@ -63,7 +63,87 @@ let prop_aes_roundtrip =
       Aes.decrypt_block key ct 0 back 0;
       Bytes.to_string back = p)
 
+let test_aes_sp800_38a_ecb () =
+  (* NIST SP 800-38A F.1.1, ECB-AES128.Encrypt (4 blocks). *)
+  let key = Aes.expand_key (bytes_of_hex "2b7e151628aed2a6abf7158809cf4f3c") in
+  List.iter
+    (fun (pt, want) ->
+      let ct = Bytes.create 16 in
+      Aes.encrypt_block key (bytes_of_hex pt) 0 ct 0;
+      check_hex pt want (hex_of ct))
+    [
+      ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97");
+      ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf");
+      ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688");
+      ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4");
+    ]
+
 (* --- CTR -------------------------------------------------------------- *)
+
+(* Byte-at-a-time CTR model built on the block cipher alone: byte [abs]
+   of the stream is keystream byte [abs mod 16] of the block encrypting
+   [nonce_be64 || floor(abs / 16)_be64]. *)
+let ctr_model ~key ~nonce ~pos data =
+  let k = Aes.expand_key key in
+  Bytes.mapi
+    (fun i c ->
+      let abs = Int64.add pos (Int64.of_int i) in
+      let counter = Bytes.create 16 in
+      Bytes.set_int64_be counter 0 nonce;
+      Bytes.set_int64_be counter 8 (Int64.shift_right abs 4);
+      let ks = Bytes.create 16 in
+      Aes.encrypt_block k counter 0 ks 0;
+      let kb = Bytes.get ks (Int64.to_int (Int64.logand abs 15L)) in
+      Char.chr (Char.code c lxor Char.code kb))
+    data
+
+let prop_ctr_matches_model =
+  let open QCheck in
+  let pos =
+    Gen.oneof
+      [
+        Gen.map Int64.of_int (Gen.int_bound 1_000_000);
+        (* any non-negative position *)
+        Gen.map (fun x -> Int64.logand x Int64.max_int) Gen.ui64;
+        (* block-aligned with the top bit set, as frames with seq >= 2^31 *)
+        Gen.map (fun x -> Int64.logor Int64.min_int (Int64.logand x (-16L))) Gen.ui64;
+      ]
+  in
+  let gen =
+    Gen.(
+      map
+        (fun (key, nonce, pos, (off, len, slack)) -> (key, nonce, pos, off, len, slack))
+        (quad (string_size (return 16)) ui64 pos
+           (triple (int_bound 40) (int_bound 300) (int_bound 40))))
+  in
+  Test.make ~name:"ctr xcrypt matches block-cipher model" ~count:300
+    (make
+       ~print:(fun (_, n, p, o, l, _) -> Printf.sprintf "nonce=%Ld pos=%Ld off=%d len=%d" n p o l)
+       gen)
+    (fun (key, nonce, pos, off, len, slack) ->
+      let key = Bytes.of_string key in
+      let buf = Bytes.init (off + len + slack) (fun i -> Char.chr ((i * 31) land 0xFF)) in
+      let want = Bytes.copy buf in
+      Bytes.blit (ctr_model ~key ~nonce ~pos (Bytes.sub buf off len)) 0 want off len;
+      Ctr.xcrypt (Ctr.create ~key ~nonce) ~pos buf off len;
+      Bytes.equal buf want)
+
+let test_ctr_golden_top_bit () =
+  (* Frame.ctr_pos puts seq in the high 32 bits, so seq = 2^31 sets the
+     sign bit of the position: the counter index must come from signed
+     division, not a logical shift. *)
+  let t = Ctr.create ~key:(Bytes.of_string "0123456789abcdef") ~nonce:7L in
+  let buf = Bytes.make 40 '\000' in
+  Ctr.xcrypt t ~pos:(Int64.shift_left 0x80000000L 32) buf 0 40;
+  check_hex "keystream"
+    "db09a0273953ebd1c367f3099c64db6fbf9418671c914ca2aaffcf6ba07b3280a5972611d4e4af1a"
+    (hex_of buf)
+
+let test_ctr_unaligned_negative_rejected () =
+  let t = Ctr.create ~key:(Bytes.of_string "0123456789abcdef") ~nonce:7L in
+  Alcotest.check_raises "unaligned negative"
+    (Invalid_argument "Ctr.xcrypt: unaligned negative position") (fun () ->
+      Ctr.xcrypt t ~pos:(-3L) (Bytes.create 8) 0 8)
 
 let test_ctr_roundtrip () =
   let key = Bytes.of_string "0123456789abcdef" in
@@ -138,6 +218,23 @@ let prop_sha256_length_invariance =
       Sha256.update ctx b 0 split;
       Sha256.update ctx b split (n - split);
       Bytes.equal (Sha256.finalize ctx) (Sha256.digest b))
+
+let test_sha256_concurrent_domains () =
+  (* Two domains hashing at once must not share compression state. *)
+  let buf seed = Bytes.init 65536 (fun i -> Char.chr ((i * seed) land 0xFF)) in
+  let a = buf 7 and b = buf 13 in
+  let da = Sha256.digest a and db = Sha256.digest b in
+  let worker data want =
+    Domain.spawn (fun () ->
+        let wrong = ref 0 in
+        for _ = 1 to 200 do
+          if not (Bytes.equal (Sha256.digest data) want) then incr wrong
+        done;
+        !wrong)
+  in
+  let wa = worker a da and wb = worker b db in
+  Alcotest.(check int) "domain a wrong digests" 0 (Domain.join wa);
+  Alcotest.(check int) "domain b wrong digests" 0 (Domain.join wb)
 
 (* --- HMAC -------------------------------------------------------------- *)
 
@@ -229,6 +326,7 @@ let () =
           Alcotest.test_case "fips appendix b" `Quick test_aes_appendix_b;
           Alcotest.test_case "offset io" `Quick test_aes_offset_io;
           Alcotest.test_case "bad key rejected" `Quick test_aes_bad_key;
+          Alcotest.test_case "sp800-38a ecb vectors" `Quick test_aes_sp800_38a_ecb;
           q prop_aes_roundtrip;
         ] );
       ( "ctr",
@@ -237,6 +335,10 @@ let () =
           Alcotest.test_case "position independence" `Quick test_ctr_position_independence;
           Alcotest.test_case "nonce separation" `Quick test_ctr_different_nonce_differs;
           q prop_ctr_roundtrip;
+          q prop_ctr_matches_model;
+          Alcotest.test_case "golden seq 2^31" `Quick test_ctr_golden_top_bit;
+          Alcotest.test_case "unaligned negative rejected" `Quick
+            test_ctr_unaligned_negative_rejected;
         ] );
       ( "sha256",
         [
@@ -244,6 +346,7 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental_equals_oneshot;
           q prop_sha256_length_invariance;
+          Alcotest.test_case "concurrent domains" `Quick test_sha256_concurrent_domains;
         ] );
       ( "hmac",
         [
