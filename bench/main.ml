@@ -292,7 +292,7 @@ let best_of_3_ns f =
    partitioning overhead honestly.                                       *)
 
 let kernels () =
-  section "[kernels] parallel primitive kernels, serial vs domains:{2,4} (PR4)";
+  section "[kernels] parallel kernels, serial vs domains:{2,4}; serial dataplane primitives";
   let module PK = Sbt_prim.Par_kernel in
   let module Pool = Sbt_umem.Page_pool in
   let n = epw in
@@ -354,6 +354,55 @@ let kernels () =
         ~alloc:(fun m -> (scratch (m * w), 0))
         ());
   Printf.printf "  (parallel rows bounded by the host's physical cores)\n";
+  (* The serial primitives the data plane calls, as it calls them: into
+     fresh uArrays on the secure page pool, over the same time-ordered
+     batch (Segment: ~64 windows; FilterBand: a random half, so kept
+     runs are short) and its key-sorted copy (TopKPerKey: ~n/4096 values
+     per key, k = 10). *)
+  let outs = ref [] in
+  let fresh ~width ~capacity =
+    let d = U.create ~id:3 ~pool:p ~width ~capacity:(max 1 capacity) () in
+    outs := d :: !outs;
+    d
+  in
+  let dataplane prim kernel =
+    let ns = best_of_3_ns kernel in
+    List.iter
+      (fun d ->
+        U.retire d;
+        U.release_pages d)
+      !outs;
+    outs := [];
+    let ns_per_record = ns /. float_of_int (max 1 n) in
+    ignore
+      (Bench_json.append ~section:"kernels"
+         [
+           ("primitive", J.Str prim);
+           ("variant", J.Str "dataplane");
+           ("rows", J.num_of_int n);
+           ("ns", J.Num ns);
+           ("ns_per_record", J.Num ns_per_record);
+         ]);
+    Printf.printf "  %-12s  dataplane=%6.1f ns/record\n" prim ns_per_record
+  in
+  dataplane "Segment" (fun () ->
+      let counts = Sbt_prim.Segment.count_per_window ~src ~ts_field:2 ~window_size:win_ticks () in
+      let dsts = Hashtbl.create 64 in
+      List.iter (fun (win, c) -> Hashtbl.replace dsts win (fresh ~width:w ~capacity:c)) counts;
+      Sbt_prim.Segment.segment ~src ~ts_field:2 ~window_size:win_ticks
+        ~dst_for_window:(Hashtbl.find dsts) ());
+  dataplane "FilterBand" (fun () ->
+      let m = Sbt_prim.Filter.count_in_band ~src ~field:1 ~lo:0l ~hi:4_999l in
+      Sbt_prim.Filter.filter_band ~src ~dst:(fresh ~width:w ~capacity:m) ~field:1 ~lo:0l
+        ~hi:4_999l);
+  dataplane "Project" (fun () ->
+      Sbt_prim.Misc.project ~src ~dst:(fresh ~width:2 ~capacity:n) ~fields:[| 2; 0 |]);
+  dataplane "ShiftKey" (fun () ->
+      Sbt_prim.Misc.shift_key ~src ~dst:(fresh ~width:w ~capacity:n) ~field:0 ~shift:8);
+  dataplane "TopKPerKey" (fun () ->
+      let groups = Sbt_prim.Keyed.group_count ~src:by_key ~key_field:0 in
+      Sbt_prim.Keyed.topk_per_key ~src:by_key ~dst:(fresh ~width:2 ~capacity:(groups * 10))
+        ~key_field:0 ~value_field:1 ~k:10);
   Printf.printf "  wrote %s\n" (Bench_json.path ~section:"kernels" ())
 
 (* ------------------------------------------------------------------ *)

@@ -628,33 +628,24 @@ let do_invoke (t : t) ~op ~inputs ~trigger ~params ~hints ~retire_inputs =
                   t.sess_last_ts <- ts;
                   Hashtbl.replace t.sess_ends sid ts
                 done);
-            (* Distinct session ids in first-appearance order (ids are
-               non-decreasing, so this is also ascending id order). *)
-            let order = ref [] in
-            Array.iteri
-              (fun i sid ->
-                if i < n then
-                  match !order with s :: _ when s = sid -> () | _ -> order := sid :: !order)
-              ids;
-            let sids = List.rev !order in
-            let count sid =
-              let c = ref 0 in
-              for i = 0 to n - 1 do
-                if ids.(i) = sid then incr c
-              done;
-              !c
+            (* Session ids are non-decreasing, so each session's records
+               are one contiguous run: one output and one blit per run. *)
+            let rec runs start acc =
+              if start >= n then List.rev acc
+              else begin
+                let stop = ref (start + 1) in
+                while !stop < n && ids.(!stop) = ids.(start) do incr stop done;
+                runs !stop ((ids.(start), start, !stop - start) :: acc)
+              end
             in
+            let runs = runs 0 [] in
             let dsts =
-              List.mapi (fun i sid -> (sid, mk ~i ~width:w ~capacity:(count sid) ())) sids
+              List.mapi (fun i (sid, _, len) -> (sid, mk ~i ~width:w ~capacity:len ())) runs
             in
             timed t `Compute (fun () ->
-                let row = Array.make w 0l in
-                for i = 0 to n - 1 do
-                  for f = 0 to w - 1 do
-                    row.(f) <- U.get_field src i f
-                  done;
-                  U.append (List.assoc ids.(i) dsts) row
-                done);
+                List.iter2
+                  (fun (_, start, len) (_, dst) -> U.append_blit dst ~src ~src_pos:start ~len)
+                  runs dsts);
             dsts
         | None ->
             let ws =
@@ -665,20 +656,25 @@ let do_invoke (t : t) ~op ~inputs ~trigger ~params ~hints ~retire_inputs =
             let slide =
               Option.value ~default:ws (find_param params (function P_slide v -> Some v | _ -> None))
             in
+            (* The counting pass validates the window parameters and every
+               timestamp, so a batch with a negative event time is refused
+               here, before any output exists. *)
             let counts =
               timed t `Compute (fun () ->
-                  Sbt_prim.Segment.count_per_window ~src ~ts_field:tf ~window_size:ws ~slide ())
+                  try Sbt_prim.Segment.count_per_window ~src ~ts_field:tf ~window_size:ws ~slide ()
+                  with Invalid_argument msg -> raise (Rejected ("segment: " ^ msg)))
             in
             let dsts =
               List.mapi
                 (fun i (win, count) -> (win, mk ~i ~width:(U.width src) ~capacity:count ()))
                 counts
             in
+            let by_window = Hashtbl.create (List.length dsts) in
+            List.iter (fun (win, d) -> Hashtbl.replace by_window win d) dsts;
             timed t `Compute (fun () ->
                 Sbt_prim.Segment.segment ~src ~ts_field:tf ~window_size:ws ~slide
-                  ~dst_for_window:(fun w -> List.assoc w dsts)
-                  ());
-            List.map (fun (w, d) -> (w, d)) dsts)
+                  ~dst_for_window:(Hashtbl.find by_window) ());
+            dsts)
     | P.Sum_cnt ->
         let src = as_one uas in
         let vf = value_field params 1 in

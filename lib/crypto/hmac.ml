@@ -1,6 +1,6 @@
 let block = 64
 
-let mac ~key msg =
+let mac_parts ~key parts =
   let k0 =
     if Bytes.length key > block then
       let d = Sha256.digest key in
@@ -23,7 +23,7 @@ let mac ~key msg =
   let inner = Sha256.init () in
   let ipad = xor_pad 0x36 in
   Sha256.update inner ipad 0 block;
-  Sha256.update inner msg 0 (Bytes.length msg);
+  List.iter (fun part -> Sha256.update inner part 0 (Bytes.length part)) parts;
   let inner_digest = Sha256.finalize inner in
   let outer = Sha256.init () in
   let opad = xor_pad 0x5C in
@@ -31,8 +31,10 @@ let mac ~key msg =
   Sha256.update outer inner_digest 0 32;
   Sha256.finalize outer
 
-let verify ~key ~tag msg =
-  let expected = mac ~key msg in
+let mac ~key msg = mac_parts ~key [ msg ]
+
+let verify_parts ~key ~tag parts =
+  let expected = mac_parts ~key parts in
   if Bytes.length tag <> 32 then false
   else begin
     let diff = ref 0 in
@@ -41,3 +43,5 @@ let verify ~key ~tag msg =
     done;
     !diff = 0
   end
+
+let verify ~key ~tag msg = verify_parts ~key ~tag [ msg ]

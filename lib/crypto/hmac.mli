@@ -9,3 +9,10 @@ val mac : key:bytes -> bytes -> bytes
 
 val verify : key:bytes -> tag:bytes -> bytes -> bool
 (** Constant-time comparison of [tag] against the recomputed tag. *)
+
+val mac_parts : key:bytes -> bytes list -> bytes
+(** [mac_parts ~key parts] is [mac ~key (Bytes.concat Bytes.empty parts)],
+    absorbing each part in place instead of building the concatenation. *)
+
+val verify_parts : key:bytes -> tag:bytes -> bytes list -> bool
+(** {!verify} over the concatenation of [parts], without building it. *)

@@ -63,27 +63,21 @@ let ctr_pos seq = Int64.shift_left (Int64.of_int seq) 32
 
 (* Authenticated bytes: a 12-byte little-endian header binding the frame
    to its (stream, seq, events) identity, then the payload as carried on
-   the wire (encrypt-then-MAC when the link is encrypted). *)
-let auth_input ~stream ~seq ~events payload =
-  let b = Bytes.create (12 + Bytes.length payload) in
-  let set_u32 off v =
-    Bytes.set b off (Char.unsafe_chr (v land 0xFF));
-    Bytes.set b (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF));
-    Bytes.set b (off + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF));
-    Bytes.set b (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xFF))
-  in
-  set_u32 0 stream;
-  set_u32 4 seq;
-  set_u32 8 events;
-  Bytes.blit payload 0 b 12 (Bytes.length payload);
-  b
+   the wire (encrypt-then-MAC when the link is encrypted).  The MAC
+   absorbs the two parts in place; the payload is never copied. *)
+let auth_parts ~stream ~seq ~events payload =
+  let h = Bytes.create 12 in
+  Bytes.set_int32_le h 0 (Int32.of_int stream);
+  Bytes.set_int32_le h 4 (Int32.of_int seq);
+  Bytes.set_int32_le h 8 (Int32.of_int events);
+  [ h; payload ]
 
 let mac_payload ~key ~stream ~seq ~events payload =
-  Sbt_crypto.Hmac.mac ~key (auth_input ~stream ~seq ~events payload)
+  Sbt_crypto.Hmac.mac_parts ~key (auth_parts ~stream ~seq ~events payload)
 
 let payload_mac_valid ~key ~stream ~seq ~events ~mac payload =
   Bytes.length mac > 0
-  && Sbt_crypto.Hmac.verify ~key ~tag:mac (auth_input ~stream ~seq ~events payload)
+  && Sbt_crypto.Hmac.verify_parts ~key ~tag:mac (auth_parts ~stream ~seq ~events payload)
 
 let seal ~key = function
   | Watermark _ as f -> f

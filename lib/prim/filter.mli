@@ -2,7 +2,11 @@
 
     FilterBand keeps records whose field value lies inside a closed band
     — the paper's Filter benchmark uses it at 1% selectivity.  A counting
-    pass sizes the output exactly. *)
+    pass sizes the output exactly.  Both passes are branch-free per
+    record; the copy compacts a block of records at a time into a small
+    scratch and moves each block's kept records with one blit.  Every
+    function raises [Invalid_argument] when [field] lies outside the
+    record. *)
 
 val count_in_band :
   src:Sbt_umem.Uarray.t -> field:int -> lo:int32 -> hi:int32 -> int

@@ -54,7 +54,9 @@ val append_fields3 : t -> int32 -> int32 -> int32 -> unit
 val append_fields4 : t -> int32 -> int32 -> int32 -> int32 -> unit
 
 val append_blit : t -> src:t -> src_pos:int -> len:int -> unit
-(** Bulk copy [len] records from the produced array [src]. *)
+(** Bulk copy [len] records from the produced array [src]: one growth of
+    [t], then one blit.  The run-at-a-time primitives move records
+    through this. *)
 
 val reserve : t -> int -> int
 (** [reserve t n] grows the array by [n] uninitialized records (committing

@@ -262,6 +262,18 @@ let test_hmac_verify () =
   Alcotest.(check bool) "rejects flipped bit" false (Hmac.verify ~key ~tag:bad msg);
   Alcotest.(check bool) "rejects short tag" false (Hmac.verify ~key ~tag:(Bytes.create 4) msg)
 
+let prop_hmac_parts_equal_concat =
+  QCheck.Test.make ~name:"mac_parts = mac of the concatenation" ~count:100
+    QCheck.(list_of_size (Gen.int_bound 5) (string_of_size (Gen.int_bound 200)))
+    (fun parts ->
+      let key = Bytes.of_string "parts-key" in
+      let parts = List.map Bytes.of_string parts in
+      let whole = Bytes.concat Bytes.empty parts in
+      let tag = Hmac.mac_parts ~key parts in
+      Bytes.equal tag (Hmac.mac ~key whole)
+      && Hmac.verify_parts ~key ~tag parts
+      && Hmac.verify ~key ~tag whole)
+
 (* --- RNG --------------------------------------------------------------- *)
 
 let test_rng_determinism () =
@@ -353,6 +365,7 @@ let () =
           Alcotest.test_case "rfc4231 vectors" `Quick test_hmac_rfc4231;
           Alcotest.test_case "long key" `Quick test_hmac_long_key;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
+          q prop_hmac_parts_equal_concat;
         ] );
       ( "rng",
         [

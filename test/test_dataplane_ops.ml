@@ -72,6 +72,21 @@ let test_segment () =
   Alcotest.(check (list int)) "windows" [ 0; 1 ] (List.map (fun (o : D.output) -> o.D.win) outs);
   Alcotest.(check (list int)) "sizes" [ 1; 2 ] (List.map (fun (o : D.output) -> o.D.events) outs)
 
+let test_segment_negative_time_refused () =
+  (* With 10-tick windows, ts -15 would land in no window (hi = -1 < lo = 0)
+     and ts -1 would truncate into window 0: the batch is refused whole,
+     before any output exists, instead of losing a record silently. *)
+  let dp = mk_dp () in
+  let r = ingest dp ~width:3 (il [ [ 1; 0; -15 ]; [ 2; 0; -1 ]; [ 3; 0; 3 ]; [ 4; 0; 12 ] ]) in
+  let refs = D.live_refs dp and committed = D.pool_committed_bytes dp in
+  let audit = List.length (D.audit_records_for_test dp) in
+  (match invoke dp ~params:[ D.P_window_size 10; D.P_ts_field 2 ] P.Segment [ r ] with
+  | _ -> Alcotest.fail "negative event time accepted"
+  | exception D.Rejected _ -> ());
+  Alcotest.(check int) "no output reference" refs (D.live_refs dp);
+  Alcotest.(check int) "no output pages" committed (D.pool_committed_bytes dp);
+  Alcotest.(check int) "no audit record" audit (List.length (D.audit_records_for_test dp))
+
 let test_sum_cnt_sum_count_avg () =
   let dp = mk_dp () in
   let mk () = ingest dp ~width:3 (il [ [ 0; 10; 0 ]; [ 0; 20; 0 ]; [ 0; 31; 0 ] ]) in
@@ -180,6 +195,8 @@ let () =
           Alcotest.test_case "sort secondary order" `Quick test_sort_secondary;
           Alcotest.test_case "merge + kway" `Quick test_merge_and_kway;
           Alcotest.test_case "segment" `Quick test_segment;
+          Alcotest.test_case "segment refuses negative event time" `Quick
+            test_segment_negative_time_refused;
           Alcotest.test_case "sumcnt/sum/count/average" `Quick test_sum_cnt_sum_count_avg;
           Alcotest.test_case "median/minmax" `Quick test_median_minmax;
           Alcotest.test_case "topk both kinds" `Quick test_topk_and_topk_per_key;

@@ -91,6 +91,29 @@ let test_seal_encrypt_then_mac () =
   let f = Frame.seal ~key enc in
   Alcotest.(check bool) "verifies on ciphertext" true (Frame.mac_valid ~key f)
 
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+
+let test_mac_wire_bytes () =
+  (* The tag is HMAC-SHA256 over a 12-byte little-endian
+     (stream, seq, events) header followed by the payload, absorbed in
+     place.  Pinned against the tag of the concatenating implementation,
+     with seq's top bit set, and against the concatenation itself. *)
+  let key = Bytes.of_string "frame-mac-key-16" in
+  let payload = Bytes.init 1000 (fun i -> Char.chr (((i * 37) + 11) land 0xFF)) in
+  let tag = Frame.mac_payload ~key ~stream:3 ~seq:0x80000001 ~events:250 payload in
+  Alcotest.(check string) "pinned tag"
+    "32c3be3c617e440cb93da79453f1aab7d25229a58932fc8168c7f20d2c694d6c" (hex tag);
+  let header = Bytes.of_string "\003\000\000\000\001\000\000\128\250\000\000\000" in
+  Alcotest.(check string) "HMAC of header ++ payload"
+    (hex (Sbt_crypto.Hmac.mac ~key (Bytes.cat header payload)))
+    (hex tag);
+  Alcotest.(check bool) "verifies" true
+    (Frame.payload_mac_valid ~key ~stream:3 ~seq:0x80000001 ~events:250 ~mac:tag payload);
+  Alcotest.(check bool) "header binds" false
+    (Frame.payload_mac_valid ~key ~stream:3 ~seq:1 ~events:250 ~mac:tag payload)
+
 (* Satellite property: encode -> flip one byte anywhere in the sealed
    frame (payload, header field or tag) -> authentication must reject
    cleanly, never crash. *)
@@ -164,6 +187,7 @@ let () =
         [
           Alcotest.test_case "seal/verify roundtrip" `Quick test_seal_verify_roundtrip;
           Alcotest.test_case "encrypt then mac" `Quick test_seal_encrypt_then_mac;
+          Alcotest.test_case "mac wire bytes" `Quick test_mac_wire_bytes;
           q prop_flip_one_byte_rejected;
         ] );
       ( "link",

@@ -315,6 +315,201 @@ let test_shift_key () =
   Misc.shift_key ~src ~dst ~field:0 ~shift:8;
   Alcotest.(check (list (list int))) "houses" [ [ 1; 7 ]; [ 2; 8 ] ] (rows_of_ua dst)
 
+(* --- run-at-a-time kernels against per-record models ----------------------------- *)
+
+(* The kernels move records in runs and blocks; each property compares one
+   of them with a plain per-record loop over lists, on inputs shaped to
+   have long runs as well as short ones. *)
+
+let rows_gen ~width ~n =
+  QCheck.Gen.(list_repeat n (list_repeat width (int_range (-1000) 1000)))
+
+let prop_shift_key_model =
+  QCheck.Test.make ~name:"shift_key = per-record model" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 5 >>= fun width ->
+          int_range 0 300 >>= fun n ->
+          triple (rows_gen ~width ~n) (int_bound (width - 1)) (int_bound 31)))
+    (fun (rows, field, shift) ->
+      let width = match rows with r :: _ -> List.length r | [] -> field + 1 in
+      let p = pool () in
+      let src = ua_of_list p ~width rows in
+      let dst = fresh p ~width ~capacity:(max 1 (List.length rows)) in
+      Misc.shift_key ~src ~dst ~field ~shift;
+      rows_of_ua dst = List.map (List.mapi (fun f v -> if f = field then v asr shift else v)) rows)
+
+let prop_project_model =
+  QCheck.Test.make ~name:"project = per-record model" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 5 >>= fun width ->
+          int_range 0 300 >>= fun n ->
+          pair (rows_gen ~width ~n) (array_size (int_range 1 6) (int_bound (width - 1)))))
+    (fun (rows, fields) ->
+      let width = match rows with r :: _ -> List.length r | [] -> 6 in
+      let p = pool () in
+      let src = ua_of_list p ~width rows in
+      let dst = fresh p ~width:(Array.length fields) ~capacity:(max 1 (List.length rows)) in
+      Misc.project ~src ~dst ~fields;
+      rows_of_ua dst = List.map (fun r -> Array.to_list (Array.map (List.nth r) fields)) rows)
+
+let prop_top_k_records_model =
+  (* Distinct values (v*1000 + index) make the expected order unique. *)
+  QCheck.Test.make ~name:"top_k_records = sort-and-take model" ~count:100
+    QCheck.(pair (list_of_size (Gen.int_bound 300) (int_range (-500) 500)) (int_range 1 40))
+    (fun (vs, k) ->
+      let rows = List.mapi (fun i v -> [ i; (v * 1000) + i ]) vs in
+      let p = pool () in
+      let src = ua_of_list p ~width:2 rows in
+      let dst = fresh p ~width:2 ~capacity:k in
+      Misc.top_k_records ~src ~dst ~field:1 ~k;
+      let sorted = List.sort (fun a b -> compare (List.nth b 1) (List.nth a 1)) rows in
+      rows_of_ua dst = List.filteri (fun i _ -> i < k) sorted)
+
+(* Key-sorted (key, value) rows from (key count, run length) pairs: hot keys
+   have runs far longer than k. *)
+let keyed_runs_gen ~max_run =
+  QCheck.Gen.(
+    list_size (int_range 0 8) (pair (int_range 1 max_run) (int_range (-1000) 1000)) >>= fun runs ->
+    let rec build key acc = function
+      | [] -> return (List.concat (List.rev acc))
+      | (len, seed) :: rest ->
+          list_repeat len (int_range (seed - 50) (seed + 50)) >>= fun vals ->
+          build (key + 1 + (abs seed mod 3)) (List.map (fun v -> [ key; v ]) vals :: acc) rest
+    in
+    build (-3) [] runs)
+
+let topk_model rows k =
+  List.concat_map
+    (fun (key, vs) ->
+      List.filteri (fun i _ -> i < k) (List.sort (fun a b -> compare b a) vs)
+      |> List.map (fun v -> [ key; v ]))
+    (reference_groups rows)
+
+let prop_topk_per_key_model ~name ~max_run ~k_range =
+  QCheck.Test.make ~name ~count:80
+    QCheck.(make Gen.(pair (keyed_runs_gen ~max_run) (int_range (fst k_range) (snd k_range))))
+    (fun (rows, k) ->
+      let p = pool () in
+      let src = ua_of_list p ~width:2 rows in
+      let groups = Keyed.group_count ~src ~key_field:0 in
+      let dst = fresh p ~width:2 ~capacity:(max 1 (groups * k)) in
+      Keyed.topk_per_key ~src ~dst ~key_field:0 ~value_field:1 ~k;
+      rows_of_ua dst = topk_model rows k)
+
+let prop_topk_hot_keys =
+  prop_topk_per_key_model ~name:"topk_per_key, hot keys (run >> k)" ~max_run:600 ~k_range:(1, 12)
+
+let prop_topk_k_beyond_run =
+  prop_topk_per_key_model ~name:"topk_per_key, k > run length" ~max_run:8 ~k_range:(9, 700)
+
+(* Window [w] covers [w*slide, w*slide + size): the model scans every
+   window up to the largest timestamp and keeps the records inside. *)
+let segment_model rows ~size ~slide =
+  let max_ts = List.fold_left (fun acc r -> max acc (List.nth r 2)) 0 rows in
+  List.filter_map
+    (fun w ->
+      let inside r =
+        let ts = List.nth r 2 in
+        ts >= w * slide && ts < (w * slide) + size
+      in
+      match List.filter inside rows with
+      | [] -> None
+      | inside -> Some (w, inside))
+    (List.init ((max_ts / slide) + 1) Fun.id)
+
+let prop_segment_model =
+  QCheck.Test.make ~name:"segment = per-window model (sorted, long runs, slide <= size)" ~count:120
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 40 >>= fun size ->
+          int_range 1 size >>= fun slide ->
+          bool >>= fun sorted ->
+          list_size (int_range 0 400) (int_range 0 3) >>= fun steps ->
+          (* Time-sorted: small non-negative steps, so a window's records
+             arrive as one long run; otherwise the same stamps shuffled. *)
+          let stamp (t, acc) d = (t + d, (t + d) :: acc) in
+          let ts = List.rev (snd (List.fold_left stamp (0, []) steps)) in
+          (if sorted then return ts else shuffle_l ts) >>= fun ts ->
+          return (size, slide, List.mapi (fun i t -> [ i; -i; t ]) ts)))
+    (fun (size, slide, rows) ->
+      let p = pool () in
+      let src = ua_of_list p ~width:3 rows in
+      let expected = segment_model rows ~size ~slide in
+      let counts = Segment.count_per_window ~src ~ts_field:2 ~window_size:size ~slide () in
+      let dsts = Hashtbl.create 8 in
+      Segment.segment ~src ~ts_field:2 ~window_size:size ~slide
+        ~dst_for_window:(fun w ->
+          let d = fresh p ~width:3 ~capacity:(List.assoc w counts) in
+          Hashtbl.replace dsts w d;
+          d)
+        ();
+      counts = List.map (fun (w, inside) -> (w, List.length inside)) expected
+      && List.for_all (fun (w, inside) -> rows_of_ua (Hashtbl.find dsts w) = inside) expected)
+
+let test_segment_negative_time () =
+  (* 10-tick windows over [-15; -1; 3; 12]: -15 would fall in no window and
+     -1 would truncate into window 0.  Negative event time is refused. *)
+  let p = pool () in
+  let src = ua_of_list p ~width:2 [ [ 1; -15 ]; [ 2; -1 ]; [ 3; 3 ]; [ 4; 12 ] ] in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "count_per_window" true
+    (raises (fun () -> Segment.count_per_window ~src ~ts_field:1 ~window_size:10 ()));
+  Alcotest.(check bool) "segment" true
+    (raises (fun () ->
+         Segment.segment ~src ~ts_field:1 ~window_size:10
+           ~dst_for_window:(fun _ -> fresh p ~width:2 ~capacity:4)
+           ()));
+  Alcotest.(check bool) "windows_of" true
+    (raises (fun () -> Segment.windows_of ~ts:(-1) ~size:10 ~slide:10))
+
+(* Values in runs of in-band / out-of-band records, so kept runs are long,
+   short and absent. *)
+let banded_rows_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 30) (pair (int_range 1 60) bool) >>= fun runs ->
+    flatten_l
+      (List.map
+         (fun (len, inside) ->
+           list_repeat len
+             (if inside then int_range (-100) 100
+              else oneof [ int_range (-1000) (-101); int_range 101 1000 ]))
+         runs)
+    >>= fun vals -> return (List.concat vals |> List.mapi (fun i v -> [ i; v; 7 ])))
+
+let prop_filters_model =
+  QCheck.Test.make ~name:"filter_band / select_eq = per-record model (long runs)" ~count:150
+    (QCheck.make banded_rows_gen)
+    (fun rows ->
+      let p = pool () in
+      let src = ua_of_list p ~width:3 rows in
+      let keep pred = List.filter (fun r -> pred (List.nth r 1)) rows in
+      let band = keep (fun v -> v >= -100 && v <= 100) in
+      let n = Filter.count_in_band ~src ~field:1 ~lo:(-100l) ~hi:100l in
+      let dst = fresh p ~width:3 ~capacity:(max 1 n) in
+      Filter.filter_band ~src ~dst ~field:1 ~lo:(-100l) ~hi:100l;
+      let sel = fresh p ~width:3 ~capacity:(max 1 (List.length rows)) in
+      Filter.select_eq ~src ~dst:sel ~field:2 ~value:7l;
+      n = List.length band && rows_of_ua dst = band && rows_of_ua sel = rows)
+
+let prop_sample_stride_model =
+  (* Exactly the records at indices 0, stride, 2*stride, ...: a kernel that
+     tested a record twice, or skipped one, would shift every later pick. *)
+  QCheck.Test.make ~name:"sample_stride keeps every stride-th record" ~count:150
+    QCheck.(
+      make Gen.(pair (int_bound 700) (frequency [ (9, int_range 1 40); (1, return max_int) ])))
+    (fun (n, stride) ->
+      let p = pool () in
+      let rows = List.init n (fun i -> [ i ]) in
+      let src = ua_of_list p ~width:1 rows in
+      let dst = fresh p ~width:1 ~capacity:(max 1 n) in
+      Filter.sample_stride ~src ~dst ~stride;
+      rows_of_ua dst = List.filter (fun r -> List.hd r mod stride = 0) rows)
+
 (* --- fused super-kernel (PR 7) ----------------------------------------------------- *)
 
 module F = Sbt_prim.Fused
@@ -419,7 +614,12 @@ let () =
           Alcotest.test_case "kway" `Quick test_kway_merge;
           Alcotest.test_case "kway single" `Quick test_kway_single_input;
         ] );
-      ("segment", [ Alcotest.test_case "counts and routing" `Quick test_segment_counts_and_routing ]);
+      ( "segment",
+        [
+          Alcotest.test_case "counts and routing" `Quick test_segment_counts_and_routing;
+          Alcotest.test_case "negative event time refused" `Quick test_segment_negative_time;
+          q prop_segment_model;
+        ] );
       ( "agg",
         [
           Alcotest.test_case "whole array" `Quick test_agg_whole_array;
@@ -430,6 +630,8 @@ let () =
         [
           Alcotest.test_case "against reference" `Quick test_keyed_against_reference;
           Alcotest.test_case "topk per key" `Quick test_topk_per_key;
+          q prop_topk_hot_keys;
+          q prop_topk_k_beyond_run;
         ] );
       ( "join",
         [
@@ -444,6 +646,11 @@ let () =
           Alcotest.test_case "concat and project" `Quick test_concat_and_project;
           Alcotest.test_case "top k records" `Quick test_top_k_records;
           Alcotest.test_case "shift key" `Quick test_shift_key;
+          q prop_shift_key_model;
+          q prop_project_model;
+          q prop_top_k_records_model;
+          q prop_filters_model;
+          q prop_sample_stride_model;
         ] );
       ( "fused",
         [
