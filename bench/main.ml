@@ -411,7 +411,8 @@ let kernels () =
    Cost_model.crypto_scale is derived from the AES-CTR row.  MB = 1e6 B. *)
 
 let crypto () =
-  section "[crypto] AES-CTR, SHA-256, HMAC-SHA256 MB/s (4 MB buffer, best of 3)";
+  section
+    "[crypto] AES-CTR, SHA-256, HMAC-SHA256, ingress verify+decrypt MB/s (4 MB buffer, best of 3)";
   let n = 4 * 1024 * 1024 in
   let buf = Sbt_crypto.Rng.bytes (Sbt_crypto.Rng.create ~seed:13L) n in
   let key = Bytes.of_string "0123456789abcdef" in
@@ -432,6 +433,41 @@ let crypto () =
   row "aes_ctr" (fun () -> Sbt_crypto.Ctr.xcrypt ctr ~pos:0L buf 0 n);
   row "sha256" (fun () -> ignore (Sbt_crypto.Sha256.digest buf));
   row "hmac_sha256" (fun () -> ignore (Sbt_crypto.Hmac.mac ~key buf));
+  (* Ingress verify+decrypt of one secure_winsum-sized frame (10k
+     three-field events, encrypt-then-MAC), repeated over the 4 MB: the
+     MAC check then the copy+CTR on one domain, against the two-lane
+     section that runs the check on Sbt_exec.Lane's helper meanwhile. *)
+  let frame = 120_000 in
+  let frames = n / frame in
+  let payload = Bytes.sub buf 0 frame in
+  let mac = Sbt_net.Frame.mac_payload ~key ~stream:0 ~seq:0 ~events:10_000 payload in
+  let verify () =
+    if not (Sbt_net.Frame.payload_mac_valid ~key ~stream:0 ~seq:0 ~events:10_000 ~mac payload) then
+      failwith "crypto bench: frame MAC rejected"
+  in
+  let decrypt () =
+    let p = Bytes.copy payload in
+    Sbt_crypto.Ctr.xcrypt ctr ~pos:0L p 0 frame
+  in
+  let ingress kernel pair =
+    let ns = best_of_3_ns (fun () -> for _ = 1 to frames do pair () done) in
+    let bytes = frames * frame in
+    let mb_s = float_of_int bytes /. 1e6 /. (ns /. 1e9) in
+    ignore
+      (Bench_json.append ~section:"crypto"
+         [
+           ("kernel", J.Str kernel);
+           ("bytes", J.num_of_int bytes);
+           ("frame_bytes", J.num_of_int frame);
+           ("ns", J.Num ns);
+           ("mb_per_sec", J.Num mb_s);
+         ]);
+    Printf.printf "  %-24s %8.1f MB/s\n" kernel mb_s
+  in
+  ingress "ingress_120k_serial" (fun () ->
+      verify ();
+      decrypt ());
+  ingress "ingress_120k_two_lane" (fun () -> ignore (Sbt_exec.Lane.both ~bytes:frame verify decrypt));
   Printf.printf "  wrote %s\n" (Bench_json.path ~section:"crypto" ())
 
 (* ------------------------------------------------------------------ *)

@@ -171,8 +171,8 @@ let run name version windows events_per_window batch cores_list target_ms hints 
   if verbose then begin
     let s = outcome.Runner.run.Runtime.dp_stats in
     Format.printf
-      "compute %.1f ms | mem %.1f ms | crypto %.1f ms | ingest %.1f ms | %d switch pairs | %d invocations@."
-      (s.D.compute_ns /. 1e6) (s.D.mem_ns /. 1e6) (s.D.crypto_ns /. 1e6)
+      "compute %.1f ms | mem %.1f ms | crypto %.1f ms (+%.1f ms overlapped) | ingest %.1f ms | %d switch pairs | %d invocations@."
+      (s.D.compute_ns /. 1e6) (s.D.mem_ns /. 1e6) (s.D.crypto_ns /. 1e6) (s.D.overlap_ns /. 1e6)
       (s.D.ingest_ns /. 1e6) s.D.switch_pairs s.D.invocations;
     Format.printf "audit: %d records, raw %d B, compressed %d B@." outcome.Runner.audit_records
       outcome.Runner.audit_raw_bytes outcome.Runner.audit_compressed_bytes;

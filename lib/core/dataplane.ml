@@ -225,6 +225,7 @@ type t = {
   mutable mem_ns : float;
   mutable crypto_ns : float;
   mutable ingest_ns : float;
+  mutable overlap_ns : float; (* helper-lane time hidden under [crypto_ns] *)
   mutable invocations : int;
   mutable events_ingested : int;
   mutable bytes_ingested : int;
@@ -270,6 +271,7 @@ type stats = {
   mem_ns : float;
   crypto_ns : float;
   ingest_ns : float;
+  overlap_ns : float;
   switch_pairs : int;
   modeled_switch_ns : float;
   modeled_copy_ns : float;
@@ -400,20 +402,61 @@ let unpack_payload t ~producer payload width =
   produce t ua;
   (ua, events)
 
+(* Frame crypto: the tag check and the decryption into a private
+   plaintext buffer (the wire payload is not ours to overwrite).  With
+   encrypt-then-MAC both only read the ciphertext, so a frame carrying
+   both runs the check on the helper lane while this domain decrypts.
+   [crypto_ns] takes the section's wall time less the copy (memory work,
+   charged as [ingest_ns]), so the buckets still add up to the wall;
+   [overlap_ns] takes the helper time hidden under the caller, which the
+   runtime charges back so the modeled edge never counts host
+   parallelism.  Serially the two halves fill the wall and the overlap is
+   0.  A bad tag drops the plaintext and rejects the frame before the
+   batch touches anything else. *)
+let open_frame t ~payload ~encrypted ~stream ~seq ~mac =
+  let now = Sbt_sim.Clock.now_ns and elapsed = Sbt_sim.Clock.elapsed_ns in
+  let verify () =
+    let t0 = now () in
+    let events = Bytes.length payload / (4 * t.ingest_width) in
+    let valid =
+      Bytes.length mac = 0
+      || Sbt_net.Frame.payload_mac_valid ~key:t.cfg.ingress_key ~stream ~seq ~events ~mac
+           payload
+    in
+    (valid, elapsed ~since:t0)
+  in
+  let decrypt () =
+    let t0 = now () in
+    if not encrypted then (payload, 0.0, 0.0)
+    else begin
+      let p = Bytes.copy payload in
+      let copy_ns = elapsed ~since:t0 in
+      let ctr = Sbt_crypto.Ctr.create ~key:t.cfg.ingress_key ~nonce:(Int64.of_int stream) in
+      Sbt_crypto.Ctr.xcrypt ctr ~pos:(Int64.shift_left (Int64.of_int seq) 32) p 0 (Bytes.length p);
+      (p, copy_ns, elapsed ~since:t0)
+    end
+  in
+  (* Only a frame with both a tag and a ciphertext has two halves. *)
+  let bytes = if Bytes.length mac > 0 && encrypted then Bytes.length payload else 0 in
+  let t0 = now () in
+  let (valid, verify_ns), (plain, copy_ns, decrypt_ns) = Sbt_exec.Lane.both ~bytes verify decrypt in
+  let wall = elapsed ~since:t0 in
+  t.ingest_ns <- t.ingest_ns +. copy_ns;
+  t.crypto_ns <- t.crypto_ns +. (wall -. copy_ns);
+  t.overlap_ns <- t.overlap_ns +. Float.max 0.0 (verify_ns +. decrypt_ns -. wall);
+  if not valid then raise (Rejected "ingest: frame authentication failed");
+  plain
+
 let do_ingest_events t ~payload ~encrypted ~stream ~seq ~mac =
   let platform = t.cfg.platform in
   (* Authenticated links: verify the frame tag over the wire payload
      before anything else is spent on the batch.  Damage anywhere in
-     header or payload surfaces here as a clean rejection. *)
-  if Bytes.length mac > 0 then begin
-    let events = Bytes.length payload / (4 * t.ingest_width) in
-    let valid =
-      timed t `Crypto (fun () ->
-          Sbt_net.Frame.payload_mac_valid ~key:t.cfg.ingress_key ~stream ~seq ~events ~mac
-            payload)
-    in
-    if not valid then raise (Rejected "ingest: frame authentication failed")
-  end;
+     header or payload surfaces here as a clean rejection, before any
+     shed check, uArray, ref, audit record or pool change. *)
+  let payload =
+    if Bytes.length mac = 0 && not encrypted then payload
+    else open_frame t ~payload ~encrypted ~stream ~seq ~mac
+  in
   (* Pool pressure the backpressure stall cannot absorb: shed the batch
      instead of letting the allocator raise mid-ingest.  The refusal
      carries an escalating stall so a persistently full pool slows the
@@ -483,18 +526,6 @@ let do_ingest_events t ~payload ~encrypted ~stream ~seq ~mac =
         payload
     | Insecure -> payload
   in
-  let payload =
-    if encrypted then
-      (* The plaintext gets its own buffer (the wire payload is not ours
-         to overwrite); that copy is memory work, not crypto. *)
-      let p = timed t `Ingest (fun () -> Bytes.copy payload) in
-      timed t `Crypto (fun () ->
-          let ctr = Sbt_crypto.Ctr.create ~key:t.cfg.ingress_key ~nonce:(Int64.of_int stream) in
-          Sbt_crypto.Ctr.xcrypt ctr ~pos:(Int64.shift_left (Int64.of_int seq) 32) p 0
-            (Bytes.length p));
-      p
-    else payload
-  in
   let ua, events = unpack_payload t ~producer:P.ingress_id payload t.ingest_width in
   t.consecutive_sheds <- 0;
   t.events_ingested <- t.events_ingested + events;
@@ -555,11 +586,44 @@ let snapshot_input ua =
     Bigarray.Array1.blit (Bigarray.Array1.sub (U.raw ua) 0 (n * w)) copy;
   (w, n, copy)
 
+(* Field indices and merge widths arrive from the untrusted control
+   plane, and the sort, keyed, merge and join kernels read fields with
+   [unsafe_get] or check them only after the output exists: an index
+   outside an input record, or merge inputs of unequal width, is refused
+   here, before any output exists. *)
+let check_fields op uas params =
+  let fields =
+    match op with
+    | P.Merge | P.Kway_merge -> (
+        match uas with
+        | ua :: rest when List.exists (fun u -> U.width u <> U.width ua) rest ->
+            raise (Rejected (P.name op ^ ": inputs of unequal width"))
+        | _ -> [ key_field params 0 ])
+    | P.Sort ->
+        key_field params 0
+        :: Option.to_list (find_param params (function P_value_field v -> Some v | _ -> None))
+    | P.Unique | P.Count_per_key -> [ key_field params 0 ]
+    | P.Join | P.Sum_per_key | P.Avg_per_key | P.Median_per_key | P.Top_k_per_key ->
+        [ key_field params 0; value_field params 1 ]
+    | _ -> []
+  in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun ua ->
+          if f < 0 || f >= U.width ua then
+            raise
+              (Rejected
+                 (Printf.sprintf "%s: field %d outside a %d-field record" (P.name op) f (U.width ua))))
+        uas)
+    fields
+
 let do_invoke (t : t) ~op ~inputs ~trigger ~params ~hints ~retire_inputs =
   t.invocations <- t.invocations + 1;
   Sbt_obs.Metrics.incr t.m_invocations;
   List.iter (guard_ref t) inputs;
   let uas = List.map (Opaque.resolve t.refs) inputs in
+  check_fields op uas params;
   (match t.capture with
   | Some sink when capture_worthy op ->
       sink { cap_op = op; cap_params = params; cap_inputs = List.map snapshot_input uas; cap_steps = [] }
@@ -1190,6 +1254,7 @@ let serialize_state t ~control =
   C.f64 w t.mem_ns;
   C.f64 w t.crypto_ns;
   C.f64 w t.ingest_ns;
+  C.f64 w t.overlap_ns;
   C.list_ w
     (fun w (ref_, ua) ->
       C.i64 w ref_;
@@ -1222,7 +1287,8 @@ let do_checkpoint t ~control ~watermark =
   in
   Rs_checkpoint { blob; seq }
 
-let measured_total (t : t) = t.compute_ns +. t.mem_ns +. t.crypto_ns +. t.ingest_ns
+let measured_total (t : t) =
+  t.compute_ns +. t.mem_ns +. t.crypto_ns +. t.ingest_ns +. t.overlap_ns
 
 (* One "prim" span per primitive/udf/seal execution, at the TEE's virtual
    clock.  The duration is the measured-time delta scaled by the cost
@@ -1291,6 +1357,7 @@ let create cfg =
       mem_ns = 0.0;
       crypto_ns = 0.0;
       ingest_ns = 0.0;
+      overlap_ns = 0.0;
       invocations = 0;
       events_ingested = 0;
       bytes_ingested = 0;
@@ -1420,6 +1487,7 @@ let restore cfg ~expect_seq blob =
   t.mem_ns <- C.get_f64 r;
   t.crypto_ns <- C.get_f64 r;
   t.ingest_ns <- C.get_f64 r;
+  t.overlap_ns <- C.get_f64 r;
   let arrays =
     C.get_list r (fun r ->
         let ref_ = C.get_i64 r in
@@ -1490,20 +1558,39 @@ let audit_records_for_test t =
     (fun b -> Sbt_attest.Log.open_batch ~key:t.cfg.egress_key b)
     (uploaded_batches t)
 
-let open_result ~egress_key (r : sealed_result) =
-  if Bytes.length r.tag > 0 && not (Sbt_crypto.Hmac.verify ~key:egress_key ~tag:r.tag r.cipher)
-  then invalid_arg "Dataplane.open_result: MAC verification failed";
-  let payload =
-    if Bytes.length r.tag = 0 then Bytes.copy r.cipher
-    else begin
-      let p = Bytes.copy r.cipher in
-      let ctr = Sbt_crypto.Ctr.create ~key:egress_key ~nonce:(egress_nonce r.window) in
-      Sbt_crypto.Ctr.xcrypt ctr ~pos:0L p 0 (Bytes.length p);
-      p
-    end
+(* [events] and [width] travel beside the tag, not under it: a forged
+   count must not size an allocation past the bytes that are there. *)
+let rows_of (r : sealed_result) payload =
+  let fits =
+    r.events = 0 || (r.events > 0 && r.width > 0 && r.events <= Bytes.length payload / (4 * r.width))
   in
+  if not fits then
+    invalid_arg "Dataplane.open_result: row count exceeds the result";
   Array.init r.events (fun i ->
       Array.init r.width (fun f -> Bytes.get_int32_le payload (4 * ((i * r.width) + f))))
+
+(* The MAC check runs on the helper lane while this domain decrypts and
+   builds the rows; a bad tag wins over whatever the decode of forged
+   bytes raised. *)
+let open_result ~egress_key (r : sealed_result) =
+  if Bytes.length r.tag = 0 then rows_of r r.cipher
+  else begin
+    let valid, rows =
+      Sbt_exec.Lane.both ~bytes:(Bytes.length r.cipher)
+        (fun () -> Sbt_crypto.Hmac.verify ~key:egress_key ~tag:r.tag r.cipher)
+        (fun () ->
+          match
+            let p = Bytes.copy r.cipher in
+            let ctr = Sbt_crypto.Ctr.create ~key:egress_key ~nonce:(egress_nonce r.window) in
+            Sbt_crypto.Ctr.xcrypt ctr ~pos:0L p 0 (Bytes.length p);
+            rows_of r p
+          with
+          | rows -> Ok rows
+          | exception e -> Error e)
+    in
+    if not valid then invalid_arg "Dataplane.open_result: MAC verification failed";
+    match rows with Ok rows -> rows | Error e -> raise e
+  end
 
 (* Cloud-side correction merge: authenticate the winning correction,
    open it under its (window, gen) nonce, and re-seal the plaintext
@@ -1533,6 +1620,7 @@ let stats (t : t) =
     mem_ns = t.mem_ns;
     crypto_ns = t.crypto_ns;
     ingest_ns = t.ingest_ns;
+    overlap_ns = t.overlap_ns;
     switch_pairs = t.cfg.platform.Tz.Platform.switch_pairs - t.switch_pairs0;
     modeled_switch_ns = t.cfg.platform.Tz.Platform.modeled_switch_ns -. t.switch_ns0;
     modeled_copy_ns = t.cfg.platform.Tz.Platform.modeled_copy_ns -. t.copy_ns0;

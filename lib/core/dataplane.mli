@@ -318,7 +318,9 @@ val audit_records_for_test : t -> Sbt_attest.Record.t list
 
 val open_result : egress_key:bytes -> sealed_result -> int32 array array
 (** Decrypt and authenticate an egressed window result (the cloud
-    consumer's view).  Raises [Invalid_argument] on a bad MAC. *)
+    consumer's view).  Raises [Invalid_argument] on a bad MAC.  On
+    results of {!Sbt_exec.Lane.min_bytes} and up the MAC check runs on
+    the helper lane while the caller decrypts and builds the rows. *)
 
 val reseal_correction : egress_key:bytes -> gen:int -> sealed_result -> sealed_result
 (** The cloud-side correction merge step: authenticate a
@@ -334,8 +336,14 @@ val reseal_correction : egress_key:bytes -> gen:int -> sealed_result -> sealed_r
 type stats = {
   compute_ns : float;  (** measured host time inside primitives *)
   mem_ns : float;  (** measured host time in alloc/retire *)
-  crypto_ns : float;  (** measured host time in en/decryption *)
+  crypto_ns : float;
+      (** measured host time in en/decryption and MACs (wall time of a
+          two-lane section) *)
   ingest_ns : float;  (** measured host time unpacking ingress data *)
+  overlap_ns : float;
+      (** helper-lane crypto time hidden under the caller
+          ({!Sbt_exec.Lane}); [crypto_ns + overlap_ns] is the serial
+          crypto cost the runtime charges *)
   switch_pairs : int;  (** completed world-switch pairs since {!create} *)
   modeled_switch_ns : float;  (** virtual switch cost since {!create} *)
   modeled_copy_ns : float;  (** virtual boundary-copy cost since {!create} *)

@@ -494,9 +494,14 @@ let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resum
       let switch_delta = s1.D.modeled_switch_ns -. s0.D.modeled_switch_ns in
       let copy_delta = s1.D.modeled_copy_ns -. s0.D.modeled_copy_ns in
       let crypto_delta = s1.D.crypto_ns -. s0.D.crypto_ns in
+      (* Helper-lane time the caller's wall hid is charged back, so the
+         modeled cores see the serial crypto cost, not host parallelism. *)
+      let overlap_delta = s1.D.overlap_ns -. s0.D.overlap_ns in
+      let host_scale = cost.Sbt_tz.Cost_model.host_scale in
       let crypto_adjust =
-        crypto_delta *. (cost.Sbt_tz.Cost_model.crypto_scale -. 1.0)
-        *. cost.Sbt_tz.Cost_model.host_scale
+        (overlap_delta *. host_scale)
+        +. ((crypto_delta +. overlap_delta) *. (cost.Sbt_tz.Cost_model.crypto_scale -. 1.0)
+           *. host_scale)
       in
       switch_delta +. copy_delta +. crypto_adjust +. r
     in

@@ -732,6 +732,151 @@ let test_corrupt_frame_rejected_by_dataplane () =
   | D.Rs_ingested _ -> ()
   | _ -> Alcotest.fail "genuine frame refused"
 
+(* --- two-lane boundary crypto -------------------------------------------------- *)
+
+module Lane = Sbt_exec.Lane
+
+let ingress_key = Bytes.of_string "sbt-ingress-k16!"
+
+(* [n] width-3 records; 12 bytes each, so the lane threshold (32 KB)
+   falls between 2730 and 2731 records. *)
+let lane_rows ~salt n =
+  Array.init n (fun i ->
+      [| Int32.of_int ((i * 7919) + salt); Int32.of_int ((i * 104729) lxor salt); Int32.of_int i |])
+
+(* An encrypted, MACed frame as the authenticated source link sends it. *)
+let sealed_frame ~stream ~seq rows =
+  let payload = Frame.pack_events ~width:3 rows in
+  let f =
+    Frame.Events
+      { seq; stream; events = Array.length rows; windows = []; payload; encrypted = false; mac = Bytes.empty }
+  in
+  match Frame.seal ~key:ingress_key (Frame.encrypt_payload ~key:ingress_key ~stream_nonce:(Int64.of_int stream) f) with
+  | Frame.Events { payload; mac; _ } -> (payload, mac)
+  | Frame.Watermark _ -> assert false
+
+let ingest_sealed dp ~stream ~seq ~payload ~mac =
+  match D.call dp (D.R_ingest_events { payload; encrypted = true; stream; seq; mac }) with
+  | D.Rs_ingested { out; _ } -> out.D.ref_
+  | _ -> Alcotest.fail "unexpected ingest response"
+
+let egress_rows dp r =
+  match D.call dp (D.R_egress { input = r; window = 0 }) with
+  | D.Rs_egress sealed -> D.open_result ~egress_key sealed
+  | _ -> Alcotest.fail "unexpected egress"
+
+let lane_sizes = QCheck.Gen.(oneof [ int_range 1 5_000; int_range 2_725 2_736 ])
+
+(* The two-lane ingest (MAC on the helper, decrypt on the caller) yields
+   the plaintext the serial reference decode does, on both sides of the
+   threshold; only frames at the threshold and up hand off. *)
+let prop_lane_ingest_matches_serial =
+  QCheck.Test.make ~name:"two-lane ingest = serial decode" ~count:40
+    QCheck.(make ~print:string_of_int lane_sizes)
+    (fun n ->
+      let dp = mk_dp () in
+      let rows = lane_rows ~salt:n n in
+      let stream = n mod 3 and seq = n in
+      let payload, mac = sealed_frame ~stream ~seq rows in
+      let serial =
+        match
+          Frame.decrypt_payload ~key:ingress_key ~stream_nonce:(Int64.of_int stream)
+            (Frame.Events { seq; stream; events = n; windows = []; payload; encrypted = true; mac })
+        with
+        | Frame.Events { payload; _ } -> Frame.unpack_events ~width:3 payload
+        | Frame.Watermark _ -> assert false
+      in
+      let before = Lane.handoffs () in
+      let got = egress_rows dp (ingest_sealed dp ~stream ~seq ~payload ~mac) in
+      let handed_off = Lane.handoffs () > before in
+      got = serial && got = rows && handed_off = (Bytes.length payload >= Lane.min_bytes))
+
+let test_lane_ingest_tamper_rejected () =
+  List.iter
+    (fun n ->
+      let rows = lane_rows ~salt:3 n in
+      let payload, mac = sealed_frame ~stream:1 ~seq:9 rows in
+      let flip b i =
+        let b = Bytes.copy b in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+        b
+      in
+      let cases =
+        [
+          ("header seq", 1, 10, payload, mac);
+          ("header stream", 2, 9, payload, mac);
+          ("payload", 1, 9, flip payload (Bytes.length payload / 2), mac);
+          ("tag", 1, 9, payload, flip mac 31);
+        ]
+      in
+      List.iter
+        (fun (what, stream, seq, payload, mac) ->
+          let dp = mk_dp () in
+          let name = Printf.sprintf "%d events, %s" n what in
+          let refs = D.live_refs dp and committed = D.pool_committed_bytes dp in
+          let audit = List.length (D.audit_records_for_test dp) in
+          Alcotest.check_raises name (D.Rejected "ingest: frame authentication failed") (fun () ->
+              ignore (ingest_sealed dp ~stream ~seq ~payload ~mac));
+          Alcotest.(check int) (name ^ ": no ref") refs (D.live_refs dp);
+          Alcotest.(check int) (name ^ ": no page") committed (D.pool_committed_bytes dp);
+          Alcotest.(check int) (name ^ ": no audit record") audit
+            (List.length (D.audit_records_for_test dp));
+          Alcotest.(check int) (name ^ ": no events") 0 (D.stats dp).D.events_ingested)
+        cases)
+    [ 100; 6_000 ]
+
+(* open_result on either side of the threshold: the rows that went in,
+   and the same Invalid_argument on a tampered tag or ciphertext. *)
+let test_lane_open_result () =
+  List.iter
+    (fun n ->
+      let dp = mk_dp ~version:D.Clear_ingress () in
+      let rows = lane_rows ~salt:5 n in
+      let r = ingest dp (Array.to_list (Array.map Array.to_list rows)) in
+      match D.call dp (D.R_egress { input = r; window = 0 }) with
+      | D.Rs_egress sealed ->
+          Alcotest.(check bool) (Printf.sprintf "%d rows open" n) true
+            (D.open_result ~egress_key sealed = rows);
+          let flip b =
+            let b = Bytes.copy b in
+            Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x80));
+            b
+          in
+          List.iter
+            (fun (what, bad) ->
+              Alcotest.check_raises (Printf.sprintf "%d rows, tampered %s" n what)
+                (Invalid_argument "Dataplane.open_result: MAC verification failed") (fun () ->
+                  ignore (D.open_result ~egress_key bad)))
+            [
+              ("tag", { sealed with D.tag = flip sealed.D.tag });
+              ("cipher", { sealed with D.cipher = flip sealed.D.cipher });
+            ]
+      | _ -> Alcotest.fail "unexpected egress")
+    [ 2; 2_730; 2_731; 6_000 ]
+
+(* Serially the two halves fill the section's wall: nothing is hidden, so
+   nothing is charged back. *)
+let test_lane_serial_overlap_zero () =
+  let dp = mk_dp () in
+  for seq = 0 to 9 do
+    let payload, mac = sealed_frame ~stream:0 ~seq (lane_rows ~salt:seq 500) in
+    ignore (ingest_sealed dp ~stream:0 ~seq ~payload ~mac)
+  done;
+  let s = D.stats dp in
+  Alcotest.(check bool) "crypto measured" true (s.D.crypto_ns > 0.0);
+  Alcotest.(check (float 0.0)) "no overlap below the threshold" 0.0 s.D.overlap_ns
+
+(* The small_batch_fps shape (FpsChain, clear ingress, 500-event batches,
+   results opened in the cloud) never reaches the threshold. *)
+let test_small_batch_never_hands_off () =
+  let bench = B.fps ~windows:2 ~events_per_window:20_000 ~batch_events:500 () in
+  let before = Lane.handoffs () in
+  let r, _ = run_pipeline ~version:D.Clear_ingress bench in
+  let opened = opened_results r in
+  Alcotest.(check int) "every window opened" 2 (List.length opened);
+  Alcotest.(check int) "no handoff" before (Lane.handoffs ());
+  Alcotest.(check (float 0.0)) "no overlap" 0.0 r.Runtime.dp_stats.D.overlap_ns
+
 let test_control_adaptive_backpressure () =
   (* Satellite: adaptive flow control exercised through the whole control
      plane, not just the dataplane unit - the run completes, stalls are
@@ -811,5 +956,13 @@ let () =
           Alcotest.test_case "corrupt frame rejected" `Quick test_corrupt_frame_rejected_by_dataplane;
           Alcotest.test_case "control adaptive backpressure" `Quick
             test_control_adaptive_backpressure;
+        ] );
+      ( "two-lane-crypto",
+        [
+          q prop_lane_ingest_matches_serial;
+          Alcotest.test_case "tampered frame rejected" `Quick test_lane_ingest_tamper_rejected;
+          Alcotest.test_case "open_result both sides" `Quick test_lane_open_result;
+          Alcotest.test_case "serial overlap is zero" `Quick test_lane_serial_overlap_zero;
+          Alcotest.test_case "small batches never hand off" `Quick test_small_batch_never_hands_off;
         ] );
     ]

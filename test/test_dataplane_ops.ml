@@ -87,6 +87,44 @@ let test_segment_negative_time_refused () =
   Alcotest.(check int) "no output pages" committed (D.pool_committed_bytes dp);
   Alcotest.(check int) "no audit record" audit (List.length (D.audit_records_for_test dp))
 
+(* Field indices and merge widths come from the untrusted control plane:
+   each bad one is refused whole, before an output reference, page or
+   audit record exists. *)
+let test_untrusted_fields_refused () =
+  let dp = mk_dp () in
+  let w1 = ingest dp ~width:1 (il [ [ 1 ]; [ 5 ] ]) in
+  let w2 = ingest dp ~width:2 (il [ [ 2; 0 ]; [ 6; 0 ] ]) in
+  let w3 () = ingest dp ~width:3 (il [ [ 1; 2; 0 ]; [ 1; 4; 0 ]; [ 2; 10; 0 ] ]) in
+  let a = w3 () and b = w3 () in
+  let refused name op params inputs =
+    let refs = D.live_refs dp and committed = D.pool_committed_bytes dp in
+    let audit = List.length (D.audit_records_for_test dp) in
+    (match invoke dp ~params op inputs with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception D.Rejected _ -> ());
+    Alcotest.(check int) (name ^ ": no output reference") refs (D.live_refs dp);
+    Alcotest.(check int) (name ^ ": no output pages") committed (D.pool_committed_bytes dp);
+    Alcotest.(check int) (name ^ ": no audit record") audit (List.length (D.audit_records_for_test dp))
+  in
+  let kf k = [ D.P_key_field k ] and kv k v = [ D.P_key_field k; D.P_value_field v ] in
+  refused "sort key past width" P.Sort (kf 3) [ a ];
+  refused "sort secondary value past width" P.Sort (kv 0 3) [ a ];
+  refused "merge unequal widths" P.Merge (kf 0) [ w1; w2 ];
+  refused "merge key past width" P.Merge (kf 1) [ w1; w1 ];
+  refused "kway unequal widths" P.Kway_merge (kf 0) [ a; w1; b ];
+  refused "kway negative key" P.Kway_merge (kf (-1)) [ a; b ];
+  refused "join value past width" P.Join (kv 0 3) [ a; b ];
+  refused "join key past narrow side" P.Join (kv 1 0) [ a; w1 ];
+  refused "unique key past width" P.Unique (kf 3) [ a ];
+  refused "count_per_key key past width" P.Count_per_key (kf 7) [ a ];
+  refused "sum_per_key value past width" P.Sum_per_key (kv 0 3) [ a ];
+  refused "avg_per_key value past width" P.Avg_per_key (kv 0 1) [ w1 ];
+  refused "median_per_key negative value" P.Median_per_key (kv 0 (-2)) [ a ];
+  refused "topk_per_key key past width" P.Top_k_per_key (kv 3 1 @ [ D.P_k 1 ]) [ a ];
+  (* The refused inputs stay live and usable. *)
+  let ok = one (invoke dp ~params:(kv 0 1) P.Sum_per_key [ a ]) in
+  check_rows "inputs intact" [ [ 1; 6 ]; [ 2; 10 ] ] (rows_of dp ok)
+
 let test_sum_cnt_sum_count_avg () =
   let dp = mk_dp () in
   let mk () = ingest dp ~width:3 (il [ [ 0; 10; 0 ]; [ 0; 20; 0 ]; [ 0; 31; 0 ] ]) in
@@ -203,6 +241,7 @@ let () =
           Alcotest.test_case "concat" `Quick test_concat;
           Alcotest.test_case "join" `Quick test_join;
           Alcotest.test_case "unique + keyed aggs" `Quick test_unique_and_keyed_aggs;
+          Alcotest.test_case "untrusted fields refused" `Quick test_untrusted_fields_refused;
           Alcotest.test_case "filter/select" `Quick test_filter_select;
           Alcotest.test_case "runtime threshold" `Quick test_filter_runtime_threshold;
           Alcotest.test_case "project + shift" `Quick test_project_shift;

@@ -337,6 +337,69 @@ let test_log_merge_shards_parallel_append () =
   Alcotest.(check bool) "parallel staging, serial bytes" true
     (batch_tuples serial = batch_tuples merged)
 
+(* --- two-lane helper ------------------------------------------------------------ *)
+
+module Lane = Sbt_exec.Lane
+
+let big = Lane.min_bytes
+
+let test_lane_small_stays_on_caller () =
+  let before = Lane.handoffs () in
+  let self = Domain.self () in
+  let a, b = Lane.both ~bytes:(big - 1) (fun () -> Domain.self ()) (fun () -> Domain.self ()) in
+  Alcotest.(check bool) "first half on the caller" true (a = self);
+  Alcotest.(check bool) "second half on the caller" true (b = self);
+  Alcotest.(check int) "no handoff" before (Lane.handoffs ())
+
+let test_lane_overlaps_on_helper () =
+  let before = Lane.handoffs () in
+  let self = Domain.self () in
+  let (a, x), (b, y) =
+    Lane.both ~bytes:big (fun () -> (Domain.self (), 6 * 7)) (fun () -> (Domain.self (), "caller"))
+  in
+  Alcotest.(check bool) "first half on the helper" true (a <> self);
+  Alcotest.(check bool) "second half on the caller" true (b = self);
+  Alcotest.(check int) "first result" 42 x;
+  Alcotest.(check string) "second result" "caller" y;
+  Alcotest.(check int) "one handoff" (before + 1) (Lane.handoffs ())
+
+let test_lane_exceptions_reach_caller () =
+  let ran = Atomic.make 0 in
+  Alcotest.check_raises "helper exception" (Failure "helper") (fun () ->
+      ignore
+        (Lane.both ~bytes:big
+           (fun () -> failwith "helper")
+           (fun () -> Atomic.incr ran)));
+  Alcotest.(check int) "caller half still ran" 1 (Atomic.get ran);
+  Alcotest.check_raises "caller exception" (Failure "caller") (fun () ->
+      ignore (Lane.both ~bytes:big (fun () -> Atomic.incr ran) (fun () -> failwith "caller")));
+  Alcotest.(check int) "helper half finished first" 2 (Atomic.get ran);
+  Alcotest.check_raises "helper's wins" (Failure "helper") (fun () ->
+      ignore (Lane.both ~bytes:big (fun () -> failwith "helper") (fun () -> failwith "caller")));
+  Alcotest.(check (pair int int)) "helper still serves" (1, 2)
+    (Lane.both ~bytes:big (fun () -> 1) (fun () -> 2))
+
+(* Two domains contend for the one helper: the loser runs its pair
+   serially, and every pair still returns its own results. *)
+let test_lane_two_callers () =
+  let worker id =
+    Domain.spawn (fun () ->
+        let bad = ref 0 in
+        for i = 1 to 200 do
+          let a, b =
+            Lane.both ~bytes:big
+              (fun () ->
+                if i mod 16 = 0 then Unix.sleepf 0.0005;
+                (id * 1_000_000) + i)
+              (fun () -> (id * 1_000_000) - i)
+          in
+          if a <> (id * 1_000_000) + i || b <> (id * 1_000_000) - i then incr bad
+        done;
+        !bad)
+  in
+  let d1 = worker 1 and d2 = worker 2 in
+  Alcotest.(check (pair int int)) "no crossed results" (0, 0) (Domain.join d1, Domain.join d2)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "exec"
@@ -364,6 +427,13 @@ let () =
         [
           Alcotest.test_case "accounting" `Quick test_pool_shard_accounting;
           Alcotest.test_case "oom" `Quick test_pool_shard_oom;
+        ] );
+      ( "lane",
+        [
+          Alcotest.test_case "small pairs stay on the caller" `Quick test_lane_small_stays_on_caller;
+          Alcotest.test_case "large pairs overlap" `Quick test_lane_overlaps_on_helper;
+          Alcotest.test_case "exceptions reach the caller" `Quick test_lane_exceptions_reach_caller;
+          Alcotest.test_case "two callers" `Quick test_lane_two_callers;
         ] );
       ( "log-shards",
         [
