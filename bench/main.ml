@@ -961,7 +961,61 @@ let attest_overhead () =
   Printf.printf "  -> capacity to attest ~%.0f edge engines producing %.0f records/s each\n"
     (rate /. Float.max 1.0 (float_of_int n /. event_seconds))
     (float_of_int n /. event_seconds);
-  Printf.printf "  (paper: 300-400 records/s produced; 57K records/s replayed; ~500 engines)\n"
+  Printf.printf "  (paper: 300-400 records/s produced; 57K records/s replayed; ~500 engines)\n";
+  (* Per-batch codec cost on each run's own flushed batches.  MB/s counts
+     the row-encoded (raw) bytes a batch stands for, both directions.  The
+     runs use the deterministic cost model, so the batches are the same
+     bytes on every host.  FpsChain has the small_batch_fps shape:
+     500-event clear batches, a short audit batch per flush. *)
+  let codec name (bench : B.t) version =
+    let cfg = Runtime.Config.make ~version ~cost:(Runtime.deterministic_cost version) () in
+    let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
+    let bodies =
+      List.map
+        (fun (b : Sbt_attest.Log.batch) ->
+          ignore (Sbt_attest.Log.open_batch ~key:egress_key b);
+          Bytes.sub b.Sbt_attest.Log.payload 4 (Bytes.length b.Sbt_attest.Log.payload - 4))
+        r.Runtime.audit
+    in
+    let batches = List.map Sbt_attest.Columnar.decompress bodies in
+    let nb = List.length batches in
+    let raw = List.fold_left (fun a rs -> a + Sbt_attest.Columnar.raw_size rs) 0 batches in
+    let compressed = List.fold_left (fun a b -> a + Bytes.length b) 0 bodies in
+    (* Repeat the pass until it has run for [budget] seconds. *)
+    let per_pass f =
+      let budget = if smoke then 0.05 else 0.5 in
+      let t0 = Clock.now_ns () and passes = ref 0 in
+      while !passes < 3 || Clock.elapsed_ns ~since:t0 < budget *. 1e9 do
+        f ();
+        incr passes
+      done;
+      Clock.elapsed_ns ~since:t0 /. float_of_int !passes
+    in
+    let enc_ns = per_pass (fun () -> List.iter (fun rs -> ignore (Sbt_attest.Columnar.compress rs)) batches) in
+    let dec_ns = per_pass (fun () -> List.iter (fun b -> ignore (Sbt_attest.Columnar.decompress b)) bodies) in
+    let us ns = ns /. 1e3 /. float_of_int (max 1 nb) in
+    let mb_s ns = float_of_int raw /. 1e6 /. (ns /. 1e9) in
+    Printf.printf "  %-8s %4d batches, %6d raw B -> %6d B | compress %6.1f us/batch %7.1f MB/s | decompress %6.1f us/batch %7.1f MB/s\n"
+      name nb raw compressed (us enc_ns) (mb_s enc_ns) (us dec_ns) (mb_s dec_ns);
+    ignore
+      (Bench_json.append ~section:"attest-overhead"
+         [
+           ("workload", J.Str name);
+           ("batches", J.num_of_int nb);
+           ("records", J.num_of_int (List.fold_left (fun a rs -> a + List.length rs) 0 batches));
+           ("raw_bytes", J.num_of_int raw);
+           ("compressed_bytes", J.num_of_int compressed);
+           ("compress_us_per_batch", J.Num (us enc_ns));
+           ("compress_raw_mb_s", J.Num (mb_s enc_ns));
+           ("decompress_us_per_batch", J.Num (us dec_ns));
+           ("decompress_raw_mb_s", J.Num (mb_s dec_ns));
+           ("host_cores", J.num_of_int (Domain.recommended_domain_count ()));
+         ])
+  in
+  Printf.printf "  audit codec per batch (raw = row-encoded bytes):\n";
+  codec "WinSum" bench D.Full;
+  codec "FpsChain" (B.fps ~windows ~events_per_window:epw ~batch_events:500 ()) D.Clear_ingress;
+  Printf.printf "  wrote %s\n" (Bench_json.path ~section:"attest-overhead" ())
 
 (* ------------------------------------------------------------------ *)
 (* Opaque-reference validation microbench (9 / 8)                        *)

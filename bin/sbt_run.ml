@@ -79,10 +79,13 @@ let config ~deterministic version =
 
 (* The workload-and-config builder the single-pipeline modes share: the
    named benchmark, wire-encrypted when the version protects ingress
-   unless overridden. *)
+   unless overridden.  Encrypted frames are also MACed (encrypt-then-MAC),
+   as a protected source sends them, so CLI runs reach the ingress MAC
+   check. *)
 let workload ?encrypted ~deterministic name version ~windows ~events_per_window ~batch =
   let encrypted = Option.value encrypted ~default:(encrypted_for version) in
-  ( benchmark name ~windows ~events_per_window ~batch_events:batch ~encrypted (),
+  let bench = benchmark name ~windows ~events_per_window ~batch_events:batch ~encrypted () in
+  ( { bench with B.spec = { bench.B.spec with Sbt_workloads.Datagen.authenticated = encrypted } },
     config ~deterministic version )
 
 let one_tenant cfg ?engine ?exec_mode ?exec_time_scale pipeline frames =
@@ -171,9 +174,9 @@ let run name version windows events_per_window batch cores_list target_ms hints 
   if verbose then begin
     let s = outcome.Runner.run.Runtime.dp_stats in
     Format.printf
-      "compute %.1f ms | mem %.1f ms | crypto %.1f ms (+%.1f ms overlapped) | ingest %.1f ms | %d switch pairs | %d invocations@."
+      "compute %.1f ms | mem %.1f ms | crypto %.1f ms (+%.1f ms overlapped) | ingest %.1f ms | audit %.1f ms | %d switch pairs | %d invocations@."
       (s.D.compute_ns /. 1e6) (s.D.mem_ns /. 1e6) (s.D.crypto_ns /. 1e6) (s.D.overlap_ns /. 1e6)
-      (s.D.ingest_ns /. 1e6) s.D.switch_pairs s.D.invocations;
+      (s.D.ingest_ns /. 1e6) (s.D.audit_ns /. 1e6) s.D.switch_pairs s.D.invocations;
     Format.printf "audit: %d records, raw %d B, compressed %d B@." outcome.Runner.audit_records
       outcome.Runner.audit_raw_bytes outcome.Runner.audit_compressed_bytes;
     Format.printf "verifier: %a" Sbt_attest.Verifier.pp_report outcome.Runner.verifier_report

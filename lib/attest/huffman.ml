@@ -1,201 +1,304 @@
-(* Canonical Huffman: build code lengths with a simple two-queue-ish
-   heap, assign canonical codes, serialize lengths + symbol count +
-   payload bits. *)
+(* Canonical Huffman over bytes.  A block is
 
-let max_symbols = 256
+     varint n                        symbol count
+     table                           d < 128 present symbols: byte d, then
+                                     (symbol, length) pairs, symbols
+                                     ascending; otherwise 0xFF and one
+                                     length byte per symbol 0..255
+     payload                         each symbol's code, most significant
+                                     bit first, zero-padded to a byte
 
-(* Binary min-heap over (weight, node index). *)
-module Heap = struct
-  type t = { mutable data : (int * int) array; mutable len : int }
+   Code lengths come from a binary min-heap that compares weights only,
+   filled with the present symbols in ascending order; merged nodes are
+   pushed as they are made.  Equal weights therefore resolve by heap
+   position, and that order is part of the format: the same input must
+   give the same lengths, the same codes and the same block forever
+   (audit batches are MACed over these bytes). *)
 
-  let create cap = { data = Array.make (max cap 1) (0, 0); len = 0 }
+(* Longest code the encoder's 63-bit accumulator can take whole (7
+   pending bits + the code).  A Huffman code this deep needs more than
+   fib(56) ~ 2.2e11 input bytes. *)
+let max_code_bits = 54
 
-  let swap h i j =
-    let t = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- t
+(* Bits the decoder resolves with one table lookup; longer codes take
+   the canonical walk. *)
+let table_bits = 9
 
-  let push h x =
-    if h.len = Array.length h.data then begin
-      let bigger = Array.make (2 * h.len) (0, 0) in
-      Array.blit h.data 0 bigger 0 h.len;
-      h.data <- bigger
-    end;
-    h.data.(h.len) <- x;
-    let i = ref h.len in
-    h.len <- h.len + 1;
-    while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
-      swap h ((!i - 1) / 2) !i;
-      i := (!i - 1) / 2
-    done
-
-  let pop h =
-    let top = h.data.(0) in
-    h.len <- h.len - 1;
-    h.data.(0) <- h.data.(h.len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.len && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-      if r < h.len && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        swap h !i !smallest;
-        i := !smallest
-      end
+(* Code lengths for [d] present symbols of weights [w] (ascending symbol
+   order).  Nodes 0..d-1 are the leaves, d+j is the j-th merge.  The heap
+   is two parallel arrays with the sift rules of a (weight, node) heap
+   ordered on weight alone. *)
+let code_lengths w d =
+  let len = Array.make d 1 in
+  if d > 1 then begin
+    let hw = Array.make d 0 and hn = Array.make d 0 in
+    let size = ref 0 in
+    let swap i j =
+      let tw = hw.(i) and tn = hn.(i) in
+      hw.(i) <- hw.(j);
+      hn.(i) <- hn.(j);
+      hw.(j) <- tw;
+      hn.(j) <- tn
+    in
+    let push weight node =
+      let i = ref !size in
+      hw.(!i) <- weight;
+      hn.(!i) <- node;
+      incr size;
+      while !i > 0 && hw.((!i - 1) / 2) > hw.(!i) do
+        swap ((!i - 1) / 2) !i;
+        i := (!i - 1) / 2
+      done
+    in
+    (* Remove the top; the caller reads hw.(0)/hn.(0) first. *)
+    let drop_top () =
+      decr size;
+      hw.(0) <- hw.(!size);
+      hn.(0) <- hn.(!size);
+      let i = ref 0 and continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let smallest = ref !i in
+        if l < !size && hw.(l) < hw.(!smallest) then smallest := l;
+        if r < !size && hw.(r) < hw.(!smallest) then smallest := r;
+        if !smallest = !i then continue := false
+        else begin
+          swap !i !smallest;
+          i := !smallest
+        end
+      done
+    in
+    for k = 0 to d - 1 do
+      push w.(k) k
     done;
-    top
-
-  let size h = h.len
-end
-
-(* Compute code lengths via Huffman tree; cap depth by construction is not
-   needed for our block sizes (lengths stay < 64 for any input < 2^64). *)
-let code_lengths freqs =
-  let parent = Array.make (2 * max_symbols) (-1) in
-  let heap = Heap.create 64 in
-  let node_count = ref max_symbols in
-  Array.iteri (fun s f -> if f > 0 then Heap.push heap (f, s)) freqs;
-  if Heap.size heap = 1 then begin
-    (* Single-symbol block: give it a 1-bit code. *)
-    let _, s = Heap.pop heap in
-    let lengths = Array.make max_symbols 0 in
-    lengths.(s) <- 1;
-    lengths
-  end
-  else begin
-    while Heap.size heap > 1 do
-      let fa, a = Heap.pop heap in
-      let fb, b = Heap.pop heap in
-      let n = !node_count in
-      incr node_count;
-      parent.(a) <- n;
-      parent.(b) <- n;
-      Heap.push heap (fa + fb, n)
+    let kids = Array.make (2 * (d - 1)) 0 in
+    for j = 0 to d - 2 do
+      let wa = hw.(0) and a = hn.(0) in
+      drop_top ();
+      let wb = hw.(0) and b = hn.(0) in
+      drop_top ();
+      kids.(2 * j) <- a;
+      kids.((2 * j) + 1) <- b;
+      push (wa + wb) (d + j)
     done;
-    let lengths = Array.make max_symbols 0 in
-    Array.iteri
-      (fun s f ->
-        if f > 0 then begin
-          let d = ref 0 and n = ref s in
-          while parent.(!n) >= 0 do
-            incr d;
-            n := parent.(!n)
-          done;
-          lengths.(s) <- !d
-        end)
-      freqs;
-    lengths
-  end
+    (* Merges come after their children, so one backward pass gives every
+       node its depth below the root (the last merge). *)
+    let depth = Array.make ((2 * d) - 1) 0 in
+    for j = d - 2 downto 0 do
+      let dc = depth.(d + j) + 1 in
+      depth.(kids.(2 * j)) <- dc;
+      depth.(kids.((2 * j) + 1)) <- dc
+    done;
+    Array.blit depth 0 len 0 d
+  end;
+  len
 
-(* Canonical code assignment from lengths. *)
-let canonical_codes lengths =
-  let codes = Array.make max_symbols 0 in
-  let max_len = Array.fold_left max 0 lengths in
-  let bl_count = Array.make (max_len + 1) 0 in
-  Array.iter (fun l -> if l > 0 then bl_count.(l) <- bl_count.(l) + 1) lengths;
-  let next_code = Array.make (max_len + 2) 0 in
+(* First canonical code of each length 1..max_len (DEFLATE's rule):
+   codes of one length are consecutive, in ascending symbol order, and
+   each length starts where the shorter ones left off, doubled. *)
+let first_codes count max_len =
+  let first = Array.make (max_len + 1) 0 in
   let code = ref 0 in
   for bits = 1 to max_len do
-    code := (!code + bl_count.(bits - 1)) lsl 1;
-    next_code.(bits) <- !code
+    code := (!code + count.(bits - 1)) lsl 1;
+    first.(bits) <- !code
   done;
-  for s = 0 to max_symbols - 1 do
-    let l = lengths.(s) in
-    if l > 0 then begin
-      codes.(s) <- next_code.(l);
-      next_code.(l) <- next_code.(l) + 1
-    end
-  done;
-  codes
+  first
 
-let encode data =
-  let n = Bytes.length data in
-  let out = Buffer.create (n / 2) in
-  Varint.write_unsigned out (Int64.of_int n);
-  if n = 0 then Buffer.to_bytes out
+let encode_sub data ~pos ~len:n =
+  if pos < 0 || n < 0 || pos > Bytes.length data - n then invalid_arg "Huffman.encode_sub";
+  if n = 0 then begin
+    let out = Bytes.create 1 in
+    ignore (Varint.put_unsigned out 0 0);
+    out
+  end
   else begin
-    let freqs = Array.make max_symbols 0 in
-    Bytes.iter (fun c -> freqs.(Char.code c) <- freqs.(Char.code c) + 1) data;
-    let lengths = code_lengths freqs in
-    let codes = canonical_codes lengths in
-    (* Sparse table header when the alphabet is small (audit-record op and
-       count columns use a handful of symbols): distinct-symbol count,
-       then (symbol, length) pairs.  0xFF marks a dense 256-byte table. *)
-    let distinct = Array.fold_left (fun acc l -> if l > 0 then acc + 1 else acc) 0 lengths in
-    if distinct < 128 then begin
-      Buffer.add_char out (Char.unsafe_chr distinct);
-      Array.iteri
-        (fun s l ->
-          if l > 0 then begin
-            Buffer.add_char out (Char.unsafe_chr s);
-            Buffer.add_char out (Char.unsafe_chr l)
-          end)
-        lengths
+    (* [tab] holds each byte's count, then its packed code. *)
+    let tab = Array.make 256 0 in
+    for i = pos to pos + n - 1 do
+      let s = Char.code (Bytes.unsafe_get data i) in
+      Array.unsafe_set tab s (Array.unsafe_get tab s + 1)
+    done;
+    let d = ref 0 in
+    for s = 0 to 255 do
+      if tab.(s) > 0 then incr d
+    done;
+    let d = !d in
+    let syms = Array.make d 0 and w = Array.make d 0 in
+    let k = ref 0 in
+    for s = 0 to 255 do
+      if tab.(s) > 0 then begin
+        syms.(!k) <- s;
+        w.(!k) <- tab.(s);
+        incr k
+      end
+    done;
+    let lens = code_lengths w d in
+    let max_len = Array.fold_left max 0 lens in
+    if max_len > max_code_bits then invalid_arg "Huffman.encode: code too long";
+    let count = Array.make (max_len + 1) 0 in
+    let bits = ref 0 in
+    for k = 0 to d - 1 do
+      count.(lens.(k)) <- count.(lens.(k)) + 1;
+      bits := !bits + (w.(k) * lens.(k))
+    done;
+    let next = first_codes count max_len in
+    for k = 0 to d - 1 do
+      let l = lens.(k) in
+      tab.(syms.(k)) <- (next.(l) lsl 6) lor l;
+      next.(l) <- next.(l) + 1
+    done;
+    let header = if d < 128 then 1 + (2 * d) else 257 in
+    let out = Bytes.create (Varint.unsigned_size n + header + ((!bits + 7) / 8)) in
+    let o = Varint.put_unsigned out 0 n in
+    if d < 128 then begin
+      Bytes.unsafe_set out o (Char.unsafe_chr d);
+      for k = 0 to d - 1 do
+        Bytes.unsafe_set out (o + 1 + (2 * k)) (Char.unsafe_chr syms.(k));
+        Bytes.unsafe_set out (o + 2 + (2 * k)) (Char.unsafe_chr lens.(k))
+      done
     end
     else begin
-      Buffer.add_char out '\xFF';
-      Array.iter (fun l -> Buffer.add_char out (Char.unsafe_chr l)) lengths
+      Bytes.unsafe_set out o '\xFF';
+      Bytes.fill out (o + 1) 256 '\000';
+      for k = 0 to d - 1 do
+        Bytes.unsafe_set out (o + 1 + syms.(k)) (Char.unsafe_chr lens.(k))
+      done
     end;
-    let w = Bitio.Writer.create () in
-    Bytes.iter
-      (fun c ->
-        let s = Char.code c in
-        Bitio.Writer.put_bits w ~value:codes.(s) ~bits:lengths.(s))
-      data;
-    Buffer.add_bytes out (Bitio.Writer.contents w);
-    Buffer.to_bytes out
+    let o = ref (o + header) and acc = ref 0 and nacc = ref 0 in
+    for i = pos to pos + n - 1 do
+      let p = Array.unsafe_get tab (Char.code (Bytes.unsafe_get data i)) in
+      let l = p land 63 in
+      acc := (!acc lsl l) lor (p lsr 6);
+      nacc := !nacc + l;
+      while !nacc >= 8 do
+        nacc := !nacc - 8;
+        Bytes.unsafe_set out !o (Char.unsafe_chr ((!acc lsr !nacc) land 0xFF));
+        incr o
+      done;
+      acc := !acc land ((1 lsl !nacc) - 1)
+    done;
+    if !nacc > 0 then Bytes.unsafe_set out !o (Char.unsafe_chr ((!acc lsl (8 - !nacc)) land 0xFF));
+    out
   end
 
-let decode data =
-  let pos = ref 0 in
-  let n = Int64.to_int (Varint.read_unsigned data pos) in
+let encode data = encode_sub data ~pos:0 ~len:(Bytes.length data)
+
+let bad what = invalid_arg ("Huffman.decode: " ^ what)
+
+let decode_sub data ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length data - len then invalid_arg "Huffman.decode_sub";
+  let stop = pos + len in
+  let p = ref pos in
+  let n = Varint.read_int data p ~stop in
+  if n < 0 then bad "count too large";
   if n = 0 then Bytes.create 0
   else begin
-    if Bytes.length data <= !pos then invalid_arg "Huffman.decode: truncated table";
-    let marker = Char.code (Bytes.get data !pos) in
-    incr pos;
-    let lengths =
+    if !p >= stop then bad "truncated table";
+    let marker = Char.code (Bytes.unsafe_get data !p) in
+    incr p;
+    (* Present symbols in ascending order with their lengths. *)
+    let syms, lens =
       if marker = 0xFF then begin
-        if Bytes.length data < !pos + max_symbols then
-          invalid_arg "Huffman.decode: truncated table";
-        let l = Array.init max_symbols (fun i -> Char.code (Bytes.get data (!pos + i))) in
-        pos := !pos + max_symbols;
-        l
+        if stop - !p < 256 then bad "truncated table";
+        let d = ref 0 in
+        for s = 0 to 255 do
+          if Bytes.unsafe_get data (!p + s) <> '\000' then incr d
+        done;
+        let syms = Array.make !d 0 and lens = Array.make !d 0 in
+        let k = ref 0 in
+        for s = 0 to 255 do
+          let l = Char.code (Bytes.unsafe_get data (!p + s)) in
+          if l > 0 then begin
+            syms.(!k) <- s;
+            lens.(!k) <- l;
+            incr k
+          end
+        done;
+        p := !p + 256;
+        (syms, lens)
       end
       else begin
-        if Bytes.length data < !pos + (2 * marker) then
-          invalid_arg "Huffman.decode: truncated table";
-        let l = Array.make max_symbols 0 in
-        for i = 0 to marker - 1 do
-          let s = Char.code (Bytes.get data (!pos + (2 * i))) in
-          l.(s) <- Char.code (Bytes.get data (!pos + (2 * i) + 1))
+        if stop - !p < 2 * marker then bad "truncated table";
+        let syms = Array.make marker 0 and lens = Array.make marker 0 in
+        for k = 0 to marker - 1 do
+          let s = Char.code (Bytes.unsafe_get data (!p + (2 * k))) in
+          if k > 0 && s <= syms.(k - 1) then bad "table symbols out of order";
+          syms.(k) <- s;
+          lens.(k) <- Char.code (Bytes.unsafe_get data (!p + (2 * k) + 1))
         done;
-        pos := !pos + (2 * marker);
-        l
+        p := !p + (2 * marker);
+        (syms, lens)
       end
     in
-    let codes = canonical_codes lengths in
-    (* Decoding table: (length, code) -> symbol. *)
-    let table = Hashtbl.create 64 in
-    Array.iteri (fun s l -> if l > 0 then Hashtbl.replace table (l, codes.(s)) s) lengths;
-    let payload = Bytes.sub data !pos (Bytes.length data - !pos) in
-    let r = Bitio.Reader.create payload in
-    let out = Bytes.create n in
-    for i = 0 to n - 1 do
-      let len = ref 0 and code = ref 0 in
-      let sym = ref (-1) in
-      while !sym < 0 do
-        code := (!code lsl 1) lor Bitio.Reader.get_bit r;
-        incr len;
-        if !len > 62 then invalid_arg "Huffman.decode: bad stream";
-        match Hashtbl.find_opt table (!len, !code) with
-        | Some s -> sym := s
-        | None -> ()
+    let d = Array.length syms in
+    if d = 0 then bad "empty table";
+    let max_len = Array.fold_left max 0 lens in
+    if max_len > max_code_bits || Array.exists (fun l -> l = 0) lens then bad "bad code length";
+    let avail_bits = 8 * (stop - !p) in
+    if n > avail_bits then bad "count exceeds the payload";
+    let count = Array.make (max_len + 1) 0 in
+    Array.iter (fun l -> count.(l) <- count.(l) + 1) lens;
+    (* Kraft: refuse an over-subscribed table, whose codes would collide.
+       [left] saturates: past 256 no count can bring it below zero. *)
+    let left = ref 1 in
+    for l = 1 to max_len do
+      left := min (2 * !left) 512 - count.(l);
+      if !left < 0 then bad "over-subscribed table"
+    done;
+    (* Symbols in canonical order: by length, then by symbol. *)
+    let offs = Array.make (max_len + 2) 0 in
+    for l = 1 to max_len do
+      offs.(l + 1) <- offs.(l) + count.(l)
+    done;
+    let sorted = Array.make d 0 in
+    let fill = Array.copy offs in
+    for k = 0 to d - 1 do
+      let l = lens.(k) in
+      sorted.(fill.(l)) <- syms.(k);
+      fill.(l) <- fill.(l) + 1
+    done;
+    let first = first_codes count max_len in
+    (* Codes up to [tb] bits resolve in one lookup of the next [tb] bits:
+       entry = symbol lsl 6 lor length, -1 for a longer code's prefix. *)
+    let tb = min max_len table_bits in
+    let table = Array.make (1 lsl tb) (-1) in
+    for l = 1 to tb do
+      for i = 0 to count.(l) - 1 do
+        let e = (sorted.(offs.(l) + i) lsl 6) lor l in
+        let lo = (first.(l) + i) lsl (tb - l) in
+        Array.fill table lo (1 lsl (tb - l)) e
+      done
+    done;
+    let start = !p in
+    let byte i = if i < stop then Char.code (Bytes.unsafe_get data i) else 0 in
+    let bit q = (byte (start + (q lsr 3)) lsr (7 - (q land 7))) land 1 in
+    (* The canonical walk for codes longer than [tb]: extend the code a bit
+       at a time until it falls inside some length's range. *)
+    let walk q =
+      let code = ref 0 and l = ref 0 and e = ref (-1) in
+      while !e < 0 do
+        incr l;
+        if !l > max_len then bad "invalid code";
+        code := (!code lsl 1) lor bit (q + !l - 1);
+        let i = !code - first.(!l) in
+        if i >= 0 && i < count.(!l) then e := (sorted.(offs.(!l) + i) lsl 6) lor !l
       done;
-      Bytes.set out i (Char.unsafe_chr !sym)
+      !e
+    in
+    let out = Bytes.create n in
+    let q = ref 0 in
+    let shift0 = 16 - tb and mask = (1 lsl tb) - 1 in
+    for i = 0 to n - 1 do
+      let b = start + (!q lsr 3) in
+      let window = (byte b lsl 8) lor byte (b + 1) in
+      let e = Array.unsafe_get table ((window lsr (shift0 - (!q land 7))) land mask) in
+      let e = if e >= 0 then e else walk !q in
+      q := !q + (e land 63);
+      if !q > avail_bits then bad "truncated payload";
+      Bytes.unsafe_set out i (Char.unsafe_chr (e lsr 6))
     done;
     out
   end
+
+let decode data = decode_sub data ~pos:0 ~len:(Bytes.length data)

@@ -48,8 +48,7 @@ let append t r =
   t.pending <- r :: t.pending;
   t.pending_count <- t.pending_count + 1;
   t.records_produced <- t.records_produced + 1;
-  t.raw_bytes <- t.raw_bytes + Bytes.length (Record.encode_all [ r ]) - 1;
-  (* -1: don't count the per-batch record-count varint for single records *)
+  t.raw_bytes <- t.raw_bytes + Record.encoded_size r;
   if t.pending_count >= t.flush_every then flush t else None
 
 let open_batch ~key b =

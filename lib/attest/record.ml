@@ -186,6 +186,22 @@ let encode_row buf r =
       u16 win_no;
       u16 gen
 
+(* [encode_row]'s byte count, by arithmetic: the tag byte, u32 = 4,
+   u16 = 2, a list = its u16 count plus its items, a hint = two u32. *)
+let encoded_size r =
+  1
+  +
+  match r with
+  | Ingress _ | Windowing _ | Late_drop _ -> 14
+  | Ingress_watermark _ | Checkpoint _ | Correction _ -> 12
+  | Egress _ -> 10
+  | Execution { inputs; outputs; hints; _ } ->
+      12 + (4 * List.length inputs) + (4 * List.length outputs) + (8 * List.length hints)
+  | Gap { windows; _ } -> 18 + (4 * List.length windows)
+  | Fused { ops; params; chain; inputs; outputs; hints; _ } ->
+      16 + (2 * List.length ops) + Bytes.length params + Bytes.length chain
+      + (4 * List.length inputs) + (4 * List.length outputs) + (8 * List.length hints)
+
 let decode_row data pos =
   let byte () =
     if !pos >= Bytes.length data then invalid_arg "Record.decode_row: truncated";

@@ -98,6 +98,10 @@ val encode_row : Buffer.t -> t -> unit
 (** Raw row-order binary encoding (the uncompressed on-edge format whose
     size Figure 12 reports as "Raw"). *)
 
+val encoded_size : t -> int
+(** Bytes {!encode_row} appends for the record, computed without encoding
+    it (no allocation). *)
+
 val decode_row : bytes -> int ref -> t
 (** Raises [Invalid_argument] on malformed input. *)
 

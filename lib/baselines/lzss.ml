@@ -90,7 +90,7 @@ let compress input =
 let decompress data =
   let pos = ref 0 in
   let n = Int64.to_int (Sbt_attest.Varint.read_unsigned data pos) in
-  let tokens = Sbt_attest.Huffman.decode (Bytes.sub data !pos (Bytes.length data - !pos)) in
+  let tokens = Sbt_attest.Huffman.decode_sub data ~pos:!pos ~len:(Bytes.length data - !pos) in
   let out = Buffer.create n in
   let tn = Bytes.length tokens in
   let i = ref 0 in

@@ -344,6 +344,11 @@ type stats = {
       (** helper-lane crypto time hidden under the caller
           ({!Sbt_exec.Lane}); [crypto_ns + overlap_ns] is the serial
           crypto cost the runtime charges *)
+  audit_ns : float;
+      (** measured host time appending audit records and flushing the log
+          (columnar compression and the batch HMAC included); disjoint
+          from the buckets above.  Already part of the measured task time
+          the runtime charges, so it adds nothing to the charge *)
   switch_pairs : int;  (** completed world-switch pairs since {!create} *)
   modeled_switch_ns : float;  (** virtual switch cost since {!create} *)
   modeled_copy_ns : float;  (** virtual boundary-copy cost since {!create} *)

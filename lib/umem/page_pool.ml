@@ -2,11 +2,12 @@ type t = {
   budget_pages : int;
   mutable committed : int;
   mutable high_water : int;
-  lock : Mutex.t;
+  lock : Mutex.t option Atomic.t;
       (* Taken only on the shard refill/return paths.  The single-threaded
          data-plane paths never contend: recording and parallel execution
          are sequential phases, and shards are the only multi-domain
-         clients of the pool. *)
+         clients of the pool.  Made on first use, so an enclave boot
+         mallocs no OS mutex it may never take. *)
 }
 
 exception Out_of_secure_memory of { requested_pages : int; available_pages : int }
@@ -20,7 +21,7 @@ let create ~budget_bytes =
     budget_pages = pages_for_bytes budget_bytes;
     committed = 0;
     high_water = 0;
-    lock = Mutex.create ();
+    lock = Atomic.make None;
   }
 
 let available_pages t = t.budget_pages - t.committed
@@ -79,9 +80,17 @@ let max_refill_factor = 8
 
 let default_refill_pages = 16
 
+let rec lock_of t =
+  match Atomic.get t.lock with
+  | Some m -> m
+  | None ->
+      ignore (Atomic.compare_and_set t.lock None (Some (Mutex.create ())));
+      lock_of t
+
 let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  let m = lock_of t in
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 let shards ?(refill_pages = default_refill_pages) t ~n =
   if n <= 0 then invalid_arg "Page_pool.shards: n must be positive";

@@ -1,9 +1,8 @@
-(* Tests for the attestation stack: bit IO, varints, Huffman, the audit
+(* Tests for the attestation stack: varints, Huffman, the audit
    record codec, columnar compression, the signed log, and — most
    importantly — the cloud verifier's replay, including every tampering
    scenario it must catch. *)
 
-module Bitio = Sbt_attest.Bitio
 module Varint = Sbt_attest.Varint
 module Huffman = Sbt_attest.Huffman
 module Record = Sbt_attest.Record
@@ -11,32 +10,6 @@ module Columnar = Sbt_attest.Columnar
 module Log = Sbt_attest.Log
 module V = Sbt_attest.Verifier
 module P = Sbt_prim.Primitive
-
-(* --- bit IO ---------------------------------------------------------------- *)
-
-let test_bitio_roundtrip () =
-  let w = Bitio.Writer.create () in
-  Bitio.Writer.put_bits w ~value:0b101 ~bits:3;
-  Bitio.Writer.put_bits w ~value:0xABCD ~bits:16;
-  Bitio.Writer.put_bit w 1;
-  let r = Bitio.Reader.create (Bitio.Writer.contents w) in
-  Alcotest.(check int) "3 bits" 0b101 (Bitio.Reader.get_bits r 3);
-  Alcotest.(check int) "16 bits" 0xABCD (Bitio.Reader.get_bits r 16);
-  Alcotest.(check int) "1 bit" 1 (Bitio.Reader.get_bit r)
-
-let test_bitio_eof () =
-  let r = Bitio.Reader.create (Bytes.create 1) in
-  ignore (Bitio.Reader.get_bits r 8);
-  Alcotest.check_raises "eof" End_of_file (fun () -> ignore (Bitio.Reader.get_bit r))
-
-let prop_bitio_roundtrip =
-  QCheck.Test.make ~name:"bitio bit sequence roundtrip" ~count:100
-    QCheck.(list (int_bound 1))
-    (fun bits ->
-      let w = Bitio.Writer.create () in
-      List.iter (fun b -> Bitio.Writer.put_bit w b) bits;
-      let r = Bitio.Reader.create (Bitio.Writer.contents w) in
-      List.for_all (fun b -> Bitio.Reader.get_bit r = b) bits)
 
 (* --- varint ---------------------------------------------------------------- *)
 
@@ -63,6 +36,16 @@ let prop_varint_roundtrip =
       Varint.write_signed b v;
       let pos = ref 0 in
       Int64.equal (Varint.read_signed (Buffer.to_bytes b) pos) v)
+
+let prop_put_unsigned =
+  QCheck.Test.make ~name:"put_unsigned = write_unsigned" ~count:500
+    QCheck.(map (fun v -> v land max_int) int)
+    (fun v ->
+      let b = Buffer.create 16 in
+      Varint.write_unsigned b (Int64.of_int v);
+      let out = Bytes.make 12 '\000' in
+      let stop = Varint.put_unsigned out 0 v in
+      stop = Varint.unsigned_size v && Bytes.sub out 0 stop = Buffer.to_bytes b)
 
 let test_zigzag () =
   Alcotest.(check int64) "zigzag 0" 0L (Varint.zigzag 0L);
@@ -98,6 +81,182 @@ let prop_huffman_roundtrip =
   QCheck.Test.make ~name:"huffman roundtrip" ~count:200 QCheck.string (fun s ->
       Bytes.to_string (Huffman.decode (Huffman.encode (Bytes.of_string s))) = s)
 
+let hex b = String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (Bytes.to_seq b))))
+let sha_hex b = hex (Sbt_crypto.Sha256.digest b)
+
+(* Symbol [s] appears fib(s) times: code lengths up to 19 bits. *)
+let fibonacci_input () =
+  let fib = Array.make 21 1 in
+  for i = 2 to 20 do
+    fib.(i) <- fib.(i - 1) + fib.(i - 2)
+  done;
+  Bytes.of_string (String.concat "" (List.init 20 (fun s -> String.make fib.(s) (Char.chr (s * 3)))))
+
+(* Blocks recorded from the original encoder (a tuple heap over all 256
+   symbols, codes written a bit at a time).  Audit batches are MACed over
+   these bytes, so an encoder change must reproduce them exactly. *)
+let test_huffman_golden () =
+  let short name input expected =
+    Alcotest.(check string) name expected (hex (Huffman.encode input))
+  in
+  let long name input len digest =
+    let e = Huffman.encode input in
+    Alcotest.(check int) (name ^ " length") len (Bytes.length e);
+    Alcotest.(check string) (name ^ " sha256") digest (sha_hex e);
+    Alcotest.(check string) (name ^ " roundtrip") (Bytes.to_string input)
+      (Bytes.to_string (Huffman.decode e))
+  in
+  (* weights 4,4,4,4,4,2,2,2,2: merged pairs tie with leaves *)
+  short "weight ties" (Bytes.of_string "aaaabbbbccccddddeeeeffgghh")
+    "1a0861026203630364036503660467036804004926db924b6deedbfc";
+  short "single symbol" (Bytes.make 37 'z') "25017a010000000000";
+  long "dense 256" (Bytes.init 1000 (fun i -> Char.chr ((i * 7) land 0xFF))) 1259
+    "5c2e8c9ea759b55e94375876b7813bec737340f6b8ac6501dc413d64fb31b667";
+  long "dense 200" (Bytes.init 600 (fun i -> Char.chr (i mod 200))) 838
+    "78f570cd5f357aa968fca0f896e866844ac7d4fddd4204ec62aa202978aa625a";
+  long "fibonacci" (fibonacci_input ()) 5837
+    "c47aa654700bd901d80f24d2886d282c3ba6d6e69812622f07daa24f0ac36cbf"
+
+(* The original encoder, kept as the model: every input must encode to
+   the same block. *)
+let reference_encode data =
+  let n = Bytes.length data in
+  let out = Buffer.create 64 in
+  Varint.write_unsigned out (Int64.of_int n);
+  if n > 0 then begin
+    let freqs = Array.make 256 0 in
+    Bytes.iter (fun c -> freqs.(Char.code c) <- freqs.(Char.code c) + 1) data;
+    let heap = ref [||] and size = ref 0 in
+    let swap i j =
+      let t = !heap.(i) in
+      !heap.(i) <- !heap.(j);
+      !heap.(j) <- t
+    in
+    let push x =
+      if !size = Array.length !heap then heap := Array.append !heap (Array.make (max 1 !size) (0, 0));
+      !heap.(!size) <- x;
+      let i = ref !size in
+      incr size;
+      while !i > 0 && fst !heap.((!i - 1) / 2) > fst !heap.(!i) do
+        swap ((!i - 1) / 2) !i;
+        i := (!i - 1) / 2
+      done
+    in
+    let pop () =
+      let top = !heap.(0) in
+      decr size;
+      !heap.(0) <- !heap.(!size);
+      let i = ref 0 and go = ref true in
+      while !go do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 and m = ref !i in
+        if l < !size && fst !heap.(l) < fst !heap.(!m) then m := l;
+        if r < !size && fst !heap.(r) < fst !heap.(!m) then m := r;
+        if !m = !i then go := false else (swap !i !m; i := !m)
+      done;
+      top
+    in
+    Array.iteri (fun s f -> if f > 0 then push (f, s)) freqs;
+    let lengths = Array.make 256 0 in
+    if !size = 1 then lengths.(snd (pop ())) <- 1
+    else begin
+      let parent = Array.make 512 (-1) and next = ref 256 in
+      while !size > 1 do
+        let fa, a = pop () in
+        let fb, b = pop () in
+        parent.(a) <- !next;
+        parent.(b) <- !next;
+        push (fa + fb, !next);
+        incr next
+      done;
+      Array.iteri
+        (fun s f ->
+          if f > 0 then begin
+            let d = ref 0 and x = ref s in
+            while parent.(!x) >= 0 do
+              incr d;
+              x := parent.(!x)
+            done;
+            lengths.(s) <- !d
+          end)
+        freqs
+    end;
+    let max_len = Array.fold_left max 0 lengths in
+    let next_code = Array.make (max_len + 2) 0 and code = ref 0 in
+    for bits = 1 to max_len do
+      let count = Array.fold_left (fun a l -> if l = bits - 1 && l > 0 then a + 1 else a) 0 lengths in
+      code := (!code + count) lsl 1;
+      next_code.(bits) <- !code
+    done;
+    let codes = Array.make 256 0 in
+    Array.iteri
+      (fun s l ->
+        if l > 0 then begin
+          codes.(s) <- next_code.(l);
+          next_code.(l) <- next_code.(l) + 1
+        end)
+      lengths;
+    let distinct = Array.fold_left (fun a l -> if l > 0 then a + 1 else a) 0 lengths in
+    if distinct < 128 then begin
+      Buffer.add_char out (Char.chr distinct);
+      Array.iteri
+        (fun s l -> if l > 0 then (Buffer.add_char out (Char.chr s); Buffer.add_char out (Char.chr l)))
+        lengths
+    end
+    else begin
+      Buffer.add_char out '\xFF';
+      Array.iter (fun l -> Buffer.add_char out (Char.chr l)) lengths
+    end;
+    let acc = ref 0 and used = ref 0 in
+    Bytes.iter
+      (fun c ->
+        let s = Char.code c in
+        for i = lengths.(s) - 1 downto 0 do
+          acc := (!acc lsl 1) lor ((codes.(s) lsr i) land 1);
+          incr used;
+          if !used = 8 then (Buffer.add_char out (Char.chr !acc); acc := 0; used := 0)
+        done)
+      data;
+    if !used > 0 then Buffer.add_char out (Char.chr (!acc lsl (8 - !used)))
+  end;
+  Buffer.to_bytes out
+
+(* Skewed byte strings over alphabets from 1 to 256 symbols. *)
+let skewed_bytes =
+  QCheck.make
+    ~print:(fun b -> hex b)
+    QCheck.Gen.(
+      int_range 1 256 >>= fun alphabet ->
+      int_range 0 3000 >>= fun n ->
+      list_repeat n (map (fun x -> x * x / alphabet) (int_bound (alphabet - 1)))
+      >|= fun syms -> Bytes.of_string (String.concat "" (List.map (fun s -> String.make 1 (Char.chr (s land 0xFF))) syms)))
+
+let prop_huffman_matches_reference =
+  QCheck.Test.make ~name:"huffman encode = original encoder" ~count:300 skewed_bytes (fun b ->
+      Bytes.equal (Huffman.encode b) (reference_encode b) && Bytes.equal (Huffman.decode (Huffman.encode b)) b)
+
+let test_huffman_sub_ranges () =
+  let b = Bytes.of_string "xxabracadabrayy" in
+  let e = Huffman.encode_sub b ~pos:2 ~len:11 in
+  Alcotest.(check string) "encode_sub = encode of the copy" (hex (Huffman.encode (Bytes.of_string "abracadabra"))) (hex e);
+  let framed = Bytes.cat (Bytes.of_string "!!") (Bytes.cat e (Bytes.of_string "??")) in
+  Alcotest.(check string) "decode_sub" "abracadabra"
+    (Bytes.to_string (Huffman.decode_sub framed ~pos:2 ~len:(Bytes.length e)))
+
+let test_huffman_refuses_oversubscribed_table () =
+  (* Three one-bit codes cannot all exist. *)
+  Alcotest.check_raises "three 1-bit codes" (Invalid_argument "Huffman.decode: over-subscribed table")
+    (fun () -> ignore (Huffman.decode (Bytes.of_string "\001\003a\001b\001c\001\000")))
+
+let test_huffman_refuses_overlong_count () =
+  (* 2^40 symbols declared over a one-byte payload: refused before any
+     allocation. *)
+  let b = Buffer.create 16 in
+  Varint.write_unsigned b (Int64.shift_left 1L 40);
+  Buffer.add_string b "\001a\001\000";
+  Alcotest.check_raises "count above the bits present"
+    (Invalid_argument "Huffman.decode: count exceeds the payload") (fun () ->
+      ignore (Huffman.decode (Buffer.to_bytes b)))
+
 (* --- record codec ------------------------------------------------------------ *)
 
 let sample_records =
@@ -127,6 +286,47 @@ let test_record_bad_tag () =
 
 let test_record_ts () =
   Alcotest.(check int) "ts of egress" 30 (Record.ts_of (Record.Egress { ts = 30; uarray = 1; win_no = 0 }))
+
+(* Every record kind, with list and blob lengths from empty upward. *)
+let any_record =
+  let open QCheck.Gen in
+  let id = int_bound 1_000_000 and small = int_bound 65_535 in
+  let ids k = list_size (int_bound k) id in
+  let hints = list_size (int_bound 3) (map Int64.of_int (int_bound max_int)) in
+  let blob = map Bytes.of_string (string_size (int_bound 40)) in
+  let reason = oneofl Record.[ Link_loss; Corrupt_ingress; Smc_unavailable; Pool_pressure ] in
+  int_bound 9 >>= fun kind ->
+  id >>= fun ts ->
+  match kind with
+  | 0 -> map3 (fun uarray stream seq -> Record.Ingress { ts; uarray; stream; seq }) id small id
+  | 1 -> map2 (fun id value -> Record.Ingress_watermark { ts; id; value }) id id
+  | 2 ->
+      map3 (fun data_in win_no data_out -> Record.Windowing { ts; data_in; win_no; data_out }) id small id
+  | 3 ->
+      map3
+        (fun (op, inputs) outputs hints -> Record.Execution { ts; op; inputs; outputs; hints })
+        (pair (int_bound 120) (ids 5)) (ids 3) hints
+  | 4 -> map2 (fun uarray win_no -> Record.Egress { ts; uarray; win_no }) id small
+  | 5 ->
+      map3
+        (fun (stream, seq) (events, windows) reason -> Record.Gap { ts; stream; seq; events; windows; reason })
+        (pair small id) (pair id (ids 4)) reason
+  | 6 -> map2 (fun seq watermark -> Record.Checkpoint { ts; seq; watermark }) id id
+  | 7 ->
+      map3
+        (fun (ops, params) (chain, inputs) (outputs, hints) ->
+          Record.Fused { ts; ops; params; chain; inputs; outputs; hints })
+        (pair (list_size (int_bound 6) (int_bound 120)) blob)
+        (pair blob (ids 4))
+        (pair (ids 3) hints)
+  | 8 -> map3 (fun uarray win_no events -> Record.Late_drop { ts; uarray; win_no; events }) id small id
+  | _ -> map3 (fun uarray win_no gen -> Record.Correction { ts; uarray; win_no; gen }) id small small
+
+let arb_record = QCheck.make ~print:(Format.asprintf "%a" Record.pp) any_record
+
+let prop_record_encoded_size =
+  QCheck.Test.make ~name:"encoded_size = row bytes, every kind" ~count:2000 arb_record (fun r ->
+      Record.encoded_size r = Bytes.length (Record.encode_all [ r ]) - 1)
 
 (* --- columnar ----------------------------------------------------------------- *)
 
@@ -207,6 +407,58 @@ let prop_columnar_roundtrip_random =
           seeds
       in
       Columnar.decompress (Columnar.compress records) = records)
+
+(* Recorded from the original column coder (see [test_huffman_golden]). *)
+let test_columnar_golden () =
+  Alcotest.(check string) "sample batch"
+    ("081108060003010302020302040305039c1ae00f08050004020206030a011404faec0007020200010901400a08"
+   ^ "03000201010202b1a0180e08000402020703a703b903d603f703fa04e03dd8b3b1001a0e090003020304040703"
+   ^ "a703b903d603f703fa0400f7bb167620090503000201010202b60704020701e801a0090303000201019a02b005"
+   ^ "020100010007020200010201400100")
+    (hex (Columnar.compress sample_records));
+  Alcotest.(check int) "raw size" 151 (Columnar.raw_size sample_records);
+  Alcotest.(check int) "raw size = row encoding" (Bytes.length (Record.encode_all sample_records))
+    (Columnar.raw_size sample_records)
+
+let prop_raw_size =
+  QCheck.Test.make ~name:"raw_size = encode_all length" ~count:200
+    QCheck.(small_list arb_record)
+    (fun records -> Columnar.raw_size records = Bytes.length (Record.encode_all records))
+
+let prop_columnar_roundtrip_all_kinds =
+  QCheck.Test.make ~name:"columnar roundtrip, every kind" ~count:200
+    QCheck.(small_list arb_record)
+    (fun records -> Columnar.decompress (Columnar.compress records) = records)
+
+(* Decoders are total: a value or [Invalid_argument], never another
+   exception ([End_of_file], [Out_of_memory], ...). *)
+let total f b =
+  match f b with _ -> true | exception Invalid_argument _ -> true
+
+let prop_decoders_total_random =
+  QCheck.Test.make ~name:"decoders total on random bytes" ~count:20_000
+    QCheck.(string_of_size Gen.(int_bound 64))
+    (fun s ->
+      let b = Bytes.of_string s in
+      total Columnar.decompress b && total Huffman.decode b)
+
+let prop_decompress_total_mutated =
+  QCheck.Test.make ~name:"decompress total on one-byte mutations" ~count:2000
+    QCheck.(triple (small_list arb_record) small_nat (int_range 1 255))
+    (fun (records, at, x) ->
+      let b = Columnar.compress (sample_records @ records) in
+      let i = at mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+      total Columnar.decompress b)
+
+let test_columnar_count_mismatch () =
+  (* A record count that disagrees with the tags column is refused before
+     any record list is built. *)
+  let b = Columnar.compress sample_records in
+  Bytes.set b 0 '\x7f';
+  Alcotest.check_raises "count"
+    (Invalid_argument "Columnar.decompress: record count differs from the tags column") (fun () ->
+      ignore (Columnar.decompress b))
 
 (* --- log ------------------------------------------------------------------------ *)
 
@@ -773,30 +1025,32 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "attest"
     [
-      ( "bitio",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_bitio_roundtrip;
-          Alcotest.test_case "eof" `Quick test_bitio_eof;
-          q prop_bitio_roundtrip;
-        ] );
       ( "varint",
         [
           Alcotest.test_case "edges" `Quick test_varint_edges;
           Alcotest.test_case "compactness" `Quick test_varint_compactness;
           Alcotest.test_case "zigzag" `Quick test_zigzag;
           q prop_varint_roundtrip;
+          q prop_put_unsigned;
         ] );
       ( "huffman",
         [
           Alcotest.test_case "roundtrips" `Quick test_huffman_roundtrips;
           Alcotest.test_case "compresses skew" `Quick test_huffman_compresses_skew;
+          Alcotest.test_case "golden bytes" `Quick test_huffman_golden;
+          Alcotest.test_case "sub ranges" `Quick test_huffman_sub_ranges;
+          Alcotest.test_case "overlong count refused" `Quick test_huffman_refuses_overlong_count;
+          Alcotest.test_case "over-subscribed table refused" `Quick
+            test_huffman_refuses_oversubscribed_table;
           q prop_huffman_roundtrip;
+          q prop_huffman_matches_reference;
         ] );
       ( "record",
         [
           Alcotest.test_case "row roundtrip" `Quick test_record_row_roundtrip;
           Alcotest.test_case "bad tag" `Quick test_record_bad_tag;
           Alcotest.test_case "ts accessor" `Quick test_record_ts;
+          q prop_record_encoded_size;
         ] );
       ( "columnar",
         [
@@ -805,6 +1059,12 @@ let () =
           Alcotest.test_case "ratio >= 4x" `Quick test_columnar_ratio;
           Alcotest.test_case "empty" `Quick test_columnar_empty;
           q prop_columnar_roundtrip_random;
+          Alcotest.test_case "golden bytes" `Quick test_columnar_golden;
+          Alcotest.test_case "count mismatch refused" `Quick test_columnar_count_mismatch;
+          q prop_raw_size;
+          q prop_columnar_roundtrip_all_kinds;
+          q prop_decoders_total_random;
+          q prop_decompress_total_mutated;
         ] );
       ( "log",
         [

@@ -877,6 +877,17 @@ let test_small_batch_never_hands_off () =
   Alcotest.(check int) "no handoff" before (Lane.handoffs ());
   Alcotest.(check (float 0.0)) "no overlap" 0.0 r.Runtime.dp_stats.D.overlap_ns
 
+(* Audit encoding is a named layer: it is measured when the log is on and
+   costs nothing when it is off. *)
+let test_audit_bucket () =
+  let bench = B.fps ~windows:2 ~events_per_window:5_000 ~batch_events:500 () in
+  let run audit_enabled =
+    let cfg = Runtime.Config.make ~version:D.Clear_ingress ~audit_enabled () in
+    (Runtime.run cfg bench.B.pipeline (B.frames bench)).Runtime.dp_stats.D.audit_ns
+  in
+  Alcotest.(check bool) "measured with the log on" true (run true > 0.0);
+  Alcotest.(check (float 0.0)) "zero with the log off" 0.0 (run false)
+
 let test_control_adaptive_backpressure () =
   (* Satellite: adaptive flow control exercised through the whole control
      plane, not just the dataplane unit - the run completes, stalls are
@@ -936,6 +947,7 @@ let () =
           Alcotest.test_case "tampered log rejected" `Quick test_tampered_log_rejected;
           Alcotest.test_case "misdeclared pipeline rejected" `Quick
             test_misdeclared_pipeline_rejected;
+          Alcotest.test_case "audit layer measured" `Quick test_audit_bucket;
         ] );
       ( "runner",
         [
